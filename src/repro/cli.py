@@ -161,8 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 0 0.5 1 2)")
     p.add_argument("--adaptive", action="store_true",
                    help="run the adaptive-retention sweep instead: "
-                        "AdaptivePresetGovernor vs the static preset "
-                        "under workload drift (no fitted lens needed)")
+                        "the replanning preset runtime vs the static "
+                        "one under workload drift (no fitted lens "
+                        "needed)")
     p.add_argument("--family", action="store_true",
                    help="run the drift-retention sweep (same harness "
                         "as --adaptive) and require the plan-family "

@@ -9,16 +9,16 @@ for — how much of the zero-fault EE gain does each runtime retain?
 Four runtimes execute the *same* drifting job flow over the *same*
 deterministic fault sequence:
 
-* **family** — :class:`~repro.governors.family.PlanFamilyGovernor`: a
-  plan *family* spanning both the build and the drift batch, with the
-  right member selected at each job's dispatch — input-aware, zero
-  reactive lag;
-* **adaptive** — :class:`~repro.governors.adaptive.AdaptivePresetGovernor`:
-  after every job the ledger's misprediction flags drive a bounded,
-  re-scored plan correction (see the governor's module docstring);
-* **static** — :class:`~repro.governors.preset.PresetGovernor` with the
-  degradation ladder but no replanning, executing the stale build-batch
-  plan forever;
+* **family** — :class:`~repro.governors.preset.PresetGovernor` over a
+  plan *family* (``families=``) spanning both the build and the drift
+  batch, with the right member selected at each job's dispatch —
+  input-aware, zero reactive lag;
+* **adaptive** — the same runtime over the build-batch plan with a
+  :class:`~repro.governors.adaptive.ReplanPolicy` (``replan=``): after
+  every job the ledger's misprediction flags drive a bounded, re-scored
+  plan correction (see the policy's module docstring);
+* **static** — the runtime with the degradation ladder but no
+  replanning, executing the stale build-batch plan forever;
 * **bim** — the built-in simple_ondemand baseline the gains are
   measured against.
 
@@ -59,10 +59,9 @@ from math import fsum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.governors import (
-    AdaptivePresetGovernor,
     OndemandGovernor,
-    PlanFamilyGovernor,
     PresetGovernor,
+    ReplanPolicy,
     build_plan_family,
 )
 from repro.graph import Graph, GraphBuilder
@@ -244,15 +243,14 @@ _JobSig = Tuple[float, float, int]
 
 def _run_flow(platform, graph: Graph, batches: Sequence[int],
               governor, profile: Optional[FaultProfile], seed: int,
-              evaluator: Optional[AnalyticEvaluator] = None,
               latency_slack: float = 0.25,
               ) -> Tuple[float, List[_JobSig], int]:
-    """Run the flow one job per simulation, feeding the adaptive loop
-    between jobs when ``governor`` supports it.
+    """Run the flow one job per simulation, feeding the replan policy
+    between jobs when ``governor`` has one.
 
     Returns ``(energy_efficiency, per-job signatures, fault total)``.
     """
-    adaptive = isinstance(governor, AdaptivePresetGovernor)
+    replan = getattr(governor, "replan", None)
     energies: List[float] = []
     images = 0
     offset = 0.0
@@ -263,9 +261,8 @@ def _run_flow(platform, graph: Graph, batches: Sequence[int],
                            name=f"{graph.name}_drift_{jidx}")
         faults = shifted_faults(profile, offset,
                                 derive_seed(seed, jidx, "faults"))
-        plan = None
-        if isinstance(governor, PresetGovernor):
-            plan = governor.plan_for(graph.name)
+        plan = governor.plan_for(graph.name) if replan is not None \
+            else None
         sim = InferenceSimulator(platform, seed=derive_seed(seed, jidx),
                                  keep_trace=True, keep_samples=False,
                                  faults=faults)
@@ -278,9 +275,9 @@ def _run_flow(platform, graph: Graph, batches: Sequence[int],
         signatures.append((result.trace.total_energy,
                            result.report.total_time,
                            result.switch_count))
-        if adaptive:
+        if replan is not None:
             ledger = EnergyLedger.from_result(
-                result, plan=plan, graph=graph, evaluator=evaluator,
+                result, plan=plan, graph=graph, evaluator=replan.evaluator,
                 batch_size=batch, latency_slack=latency_slack)
             governor.observe_job(graph, batch, ledger)
     total_energy = fsum(energies)
@@ -316,13 +313,11 @@ def run_adaptive_retention(platform_name: str = "tx2",
     def static_gov(name: str = "powerlens") -> PresetGovernor:
         return PresetGovernor([build_plan], name=name, resilient=True)
 
-    def adaptive_gov() -> AdaptivePresetGovernor:
-        return AdaptivePresetGovernor(
-            [build_plan], evaluator,
-            latency_slack=latency_slack,
-            obs=Observability(tracer=NULL_TRACER,
-                              metrics=MetricsRegistry()),
-            resilient=True)
+    def adaptive_gov() -> PresetGovernor:
+        obs = Observability(tracer=NULL_TRACER, metrics=MetricsRegistry())
+        return PresetGovernor([build_plan], name="powerlens-adaptive",
+                              metrics=obs.metrics, resilient=True,
+                              replan=ReplanPolicy(evaluator, obs=obs))
 
     # One family spanning both batches of the flow.  Its build-batch
     # member is computed by the same ``analytic_plan`` call as
@@ -333,8 +328,9 @@ def run_adaptive_retention(platform_name: str = "tx2",
         batch_grid=sorted({drift_batch, build_batch}),
         latency_slack=latency_slack, block_size=block_size)
 
-    def family_gov() -> PlanFamilyGovernor:
-        return PlanFamilyGovernor([family], resilient=True)
+    def family_gov() -> PresetGovernor:
+        return PresetGovernor(families=[family], name="powerlens-family",
+                              resilient=True)
 
     result = AdaptiveRetentionResult(platform=platform.name,
                                      graph_name=graph.name,
@@ -347,7 +343,7 @@ def run_adaptive_retention(platform_name: str = "tx2",
         platform, graph, anchor_flow, static_gov(), None, seed)
     anchor_adaptive_ee, adaptive_sigs, _ = _run_flow(
         platform, graph, anchor_flow, adaptive_gov(), None, seed,
-        evaluator=evaluator, latency_slack=latency_slack)
+        latency_slack)
     anchor_family_ee, family_sigs, _ = _run_flow(
         platform, graph, anchor_flow, family_gov(), None, seed)
     anchor_bim_ee, _, _ = _run_flow(
@@ -377,15 +373,12 @@ def run_adaptive_retention(platform_name: str = "tx2",
                     "bim": OndemandGovernor()}
         fault_total = 0
         for label, gov in runtimes.items():
-            is_ad = label == "adaptive"
-            ee, _, faults = _run_flow(
-                platform, graph, drift_flow, gov, prof, seed,
-                evaluator=evaluator if is_ad else None,
-                latency_slack=latency_slack)
+            ee, _, faults = _run_flow(platform, graph, drift_flow, gov,
+                                      prof, seed, latency_slack)
             result.ee.setdefault(label, []).append(ee)
-            if is_ad:
+            if gov is gov_ad:
                 fault_total = faults
         result.scales.append(scale)
-        result.replan.append(gov_ad.replan_health.to_dict())
+        result.replan.append(gov_ad.replan.health.to_dict())
         result.fault_totals.append(fault_total)
     return result

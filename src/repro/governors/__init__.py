@@ -6,18 +6,20 @@
   (reference [5] of the paper), in GPU-only (FPG-G) and CPU+GPU
   (FPG-C+G) variants.
 * :class:`StaticGovernor` — pinned level (used by frequency sweeps).
-* :class:`PresetGovernor` — executes a per-block frequency plan at
-  operator-boundary instrumentation points; this is the runtime half of
-  PowerLens (the plan itself comes from :mod:`repro.core`).
+* :class:`PresetGovernor` — the one PowerLens plan runtime: executes
+  per-block frequency plans (from :mod:`repro.core`) at
+  operator-boundary instrumentation points.  ``families=``
+  (:class:`PlanFamily`, one plan per (batch, sparsity) bucket) selects
+  each job's member at dispatch; a bare plan is a size-1 family.
+  ``replan=`` (:class:`ReplanPolicy`) corrects plans between jobs from
+  ledger feedback, with rollback, writing each correction back into
+  the slot (graph plus bucket) of the job that produced it.
 * :class:`OracleGovernor` — exhaustive per-block optimum, the upper
   bound used to sanity-check the decision model.
-* :class:`AdaptivePresetGovernor` — the preset runtime plus a closed
-  feedback loop: ledger misprediction flags and anomaly signals drive
-  bounded, re-scored plan corrections between jobs, with rollback to
-  the last-good plan when a correction regresses.
-* :class:`PlanFamilyGovernor` / :class:`AdaptivePlanFamilyGovernor` —
-  input-aware plan *families*: one analytic plan per (batch, sparsity)
-  bucket, selected at dispatch time (:mod:`repro.governors.family`).
+
+``AdaptivePresetGovernor``, ``PlanFamilyGovernor`` and
+``AdaptivePlanFamilyGovernor`` are historical names of those
+combinations; each returns a :class:`PresetGovernor`.
 """
 
 from repro.governors.base import (
@@ -29,29 +31,31 @@ from repro.governors.base import (
 from repro.governors.static import StaticGovernor
 from repro.governors.ondemand import OndemandGovernor
 from repro.governors.fpg import FPGGovernor, fpg_g, fpg_cg
-from repro.governors.preset import (
-    PresetGovernor,
+from repro.governors.family import (
+    FeatureBuckets,
     FrequencyPlan,
     PlanStep,
+    PlanFamily,
+    analytic_plan,
+    build_plan_family,
+)
+from repro.governors.preset import (
+    PlanFamilyGovernor,
+    PresetGovernor,
     RuntimeHealth,
 )
 from repro.governors.oracle import OracleGovernor
 from repro.governors.adaptive import (
+    AdaptivePlanFamilyGovernor,
     AdaptivePresetGovernor,
     ReplanHealth,
-)
-from repro.governors.family import (
-    AdaptivePlanFamilyGovernor,
-    FeatureBuckets,
-    PlanFamily,
-    PlanFamilyGovernor,
-    analytic_plan,
-    build_plan_family,
+    ReplanPolicy,
 )
 
 __all__ = [
     "AdaptivePresetGovernor",
     "ReplanHealth",
+    "ReplanPolicy",
     "AdaptivePlanFamilyGovernor",
     "FeatureBuckets",
     "PlanFamily",

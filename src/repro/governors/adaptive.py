@@ -1,11 +1,12 @@
-"""Adaptive preset governor: the closed self-healing loop.
+"""Ledger-driven replanning: the closed self-healing loop, as a policy.
 
-:class:`~repro.governors.preset.PresetGovernor` executes plans computed
-*offline*; when the workload drifts (batch size, input mix) the preset
-levels silently stop being optimal and the
+The preset runtime (:class:`~repro.governors.preset.PresetGovernor`)
+executes plans computed *offline*; when the workload drifts (batch
+size, input mix) the preset levels silently stop being optimal and the
 :class:`~repro.obs.ledger.EnergyLedger` flags block after block as
-mispredicted — but nothing acts.  :class:`AdaptivePresetGovernor`
-closes that loop **between inference jobs**:
+mispredicted — but nothing acts.  A :class:`ReplanPolicy`, passed to
+the runtime as ``replan=``, closes that loop **between inference
+jobs**:
 
 1. **observe** — after each job the caller hands the governor the
    job's ledger (built with an evaluator so misprediction flags are
@@ -22,31 +23,35 @@ closes that loop **between inference jobs**:
 4. **hot-swap + verify** — an adopted correction replaces the plan for
    the *next* job (verify-after-swap): if that job's measured EE
    regresses by more than ``regression_tolerance`` relative to the
-   pre-swap job, the governor rolls back to the last-good plan and
+   pre-swap job, the policy rolls back to the last-good plan and
    freezes replanning for ``cooldown_jobs`` jobs.  Anything worse —
-   failing actuators mid-job — is still handled by the inherited
+   failing actuators mid-job — is still handled by the runtime's
    retry→pin→safe-level degradation ladder.
 
+The governor writes every adopted or rolled-back plan back into the
+slot the observed job selected, so corrections stick per family member.
 Every decision is counted in :class:`ReplanHealth`, mirrored to
 ``powerlens_replan_*_total`` metrics and recorded as ``replan`` spans.
 
 Determinism: the loop is pure arithmetic over the ledger and the
 analytic table — no RNG, no clock.  On a fault-free run of plans that
 are already sweep-optimal at the observed batch size nothing ever
-triggers, so the adaptive governor issues byte-identical DVFS commands
-to the static :class:`PresetGovernor` (property-tested).
+triggers, so a replanning governor issues byte-identical DVFS commands
+to the static one (property-tested).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.governors.preset import FrequencyPlan, PlanStep, PresetGovernor
+from repro.governors.family import FrequencyPlan, PlanFamily, PlanStep
+from repro.governors.preset import PresetGovernor
 from repro.hw.analytic import AnalyticEvaluator
 from repro.obs import Observability, NULL_OBS
 
-__all__ = ["ReplanHealth", "AdaptivePresetGovernor"]
+__all__ = ["ReplanHealth", "ReplanPolicy", "AdaptivePresetGovernor",
+           "AdaptivePlanFamilyGovernor"]
 
 
 @dataclass
@@ -80,19 +85,7 @@ class ReplanHealth:
             or self.rollbacks > 0
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "proposed": self.proposed,
-            "adopted": self.adopted,
-            "rejected": self.rejected,
-            "confirmed": self.confirmed,
-            "rollbacks": self.rollbacks,
-            "frozen_skips": self.frozen_skips,
-            "nudged_blocks": self.nudged_blocks,
-            "validation_evictions": self.validation_evictions,
-        }
-
-    def report(self) -> str:
-        return ", ".join(f"{k}={v}" for k, v in self.to_dict().items())
+        return asdict(self)
 
 
 @dataclass
@@ -105,8 +98,9 @@ class _Trial:
     sparsity: float = 0.0            # sparsity of the baseline job
 
 
-class AdaptivePresetGovernor(PresetGovernor):
-    """Self-healing preset runtime (see module docstring).
+@dataclass(eq=False)
+class ReplanPolicy:
+    """The replan loop's knobs and state (see module docstring).
 
     Parameters
     ----------
@@ -126,87 +120,77 @@ class AdaptivePresetGovernor(PresetGovernor):
     cooldown_jobs:
         Jobs replanning stays frozen after a rollback or rejection.
     obs:
-        Observability bundle; counters land in ``obs.metrics`` (also
-        wired into the inherited runtime counters) and decisions are
-        recorded as ``replan`` spans on ``obs.tracer``.
+        Observability bundle; counters land in ``obs.metrics`` and
+        decisions are recorded as ``replan`` spans on ``obs.tracer``.
     """
 
-    name = "powerlens-adaptive"
+    evaluator: AnalyticEvaluator
+    max_nudge: int = 2
+    min_improvement_frac: float = 0.001
+    max_slowdown_frac: float = 0.25
+    regression_tolerance: float = 0.02
+    cooldown_jobs: int = 2
+    obs: Optional[Observability] = None
+    health: ReplanHealth = field(default_factory=ReplanHealth, init=False)
+    _trial: Dict[str, _Trial] = field(default_factory=dict, init=False,
+                                      repr=False)
+    _freeze: Dict[str, int] = field(default_factory=dict, init=False,
+                                    repr=False)
 
-    def __init__(self, plans: Sequence[FrequencyPlan],
-                 evaluator: AnalyticEvaluator,
-                 max_nudge: int = 2,
-                 min_improvement_frac: float = 0.001,
-                 max_slowdown_frac: float = 0.25,
-                 regression_tolerance: float = 0.02,
-                 cooldown_jobs: int = 2,
-                 latency_slack: float = 0.25,
-                 obs: Optional[Observability] = None,
-                 name: str = "powerlens-adaptive",
-                 **preset_kwargs: object) -> None:
-        obs = obs if obs is not None else NULL_OBS
-        super().__init__(plans, name=name, metrics=obs.metrics,
-                         **preset_kwargs)  # type: ignore[arg-type]
-        if max_nudge < 1:
+    def __post_init__(self) -> None:
+        if self.max_nudge < 1:
             raise ValueError("max_nudge must be >= 1")
-        if not 0.0 <= min_improvement_frac < 1.0:
+        if not 0.0 <= self.min_improvement_frac < 1.0:
             raise ValueError("min_improvement_frac must be in [0, 1)")
-        if max_slowdown_frac < 0:
+        if self.max_slowdown_frac < 0:
             raise ValueError("max_slowdown_frac must be >= 0")
-        if regression_tolerance < 0:
+        if self.regression_tolerance < 0:
             raise ValueError("regression_tolerance must be >= 0")
-        if cooldown_jobs < 0:
+        if self.cooldown_jobs < 0:
             raise ValueError("cooldown_jobs must be >= 0")
-        self.evaluator = evaluator
-        self.max_nudge = max_nudge
-        self.min_improvement_frac = min_improvement_frac
-        self.max_slowdown_frac = max_slowdown_frac
-        self.regression_tolerance = regression_tolerance
-        self.cooldown_jobs = cooldown_jobs
-        self.latency_slack = latency_slack
-        self.obs = obs
-        self.replan_health = ReplanHealth()
-        self._trial: Dict[str, _Trial] = {}
-        self._freeze: Dict[str, int] = {}
+        if self.obs is None:
+            self.obs = NULL_OBS
 
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
-    def _replan_count(self, event: str, n: int = 1) -> None:
-        self.obs.metrics.counter(
-            f"powerlens_replan_{event}_total").inc(n)
+    def bump(self, event: str, n: int = 1) -> None:
+        """Add ``n`` to the :class:`ReplanHealth` counter ``event`` and
+        to its ``powerlens_replan_<event>_total`` metric."""
+        setattr(self.health, event, getattr(self.health, event) + n)
+        self.obs.metrics.counter(f"powerlens_replan_{event}_total").inc(n)
 
-    def _replan_span(self, action: str, graph_name: str,
-                     **attrs: object) -> None:
+    def _span(self, action: str, graph_name: str,
+              **attrs: object) -> None:
         self.obs.tracer.record("replan", 0.0, action=action,
                                graph=graph_name, **attrs)
-
-    def _note_validation_eviction(self) -> None:
-        self.replan_health.validation_evictions += 1
-        self._replan_count("validation_evictions")
 
     # ------------------------------------------------------------------
     # the between-jobs feedback entry point
     # ------------------------------------------------------------------
-    def observe_job(self, graph, batch_size: int, ledger,
-                    new_anomalies: int = 0,
-                    sparsity: float = 0.0) -> str:
-        """Feed one finished job's ledger back into the planner.
+    def observe(self, graph, batch_size: int, ledger,
+                plan: Optional[FrequencyPlan], new_anomalies: int = 0,
+                sparsity: float = 0.0, degraded: bool = False
+                ) -> Tuple[str, Optional[FrequencyPlan]]:
+        """Judge one finished job that ran ``plan``.
 
         ``ledger`` must be an :class:`~repro.obs.ledger.EnergyLedger`
-        built from the job's trace **with this governor's plan and an
-        evaluator attached** (so misprediction flags are populated) —
-        and, for sparse jobs, with the job's ``sparsity`` so the sweep
-        ran against the workload actually executed.  Returns the action
-        taken: ``"frozen"``, ``"rollback"``, ``"none"``, ``"reject"``
-        or ``"adopt"``.
+        built from the job's trace **with that plan and an evaluator
+        attached** (so misprediction flags are populated) — and, for
+        sparse jobs, with the job's ``sparsity`` so the sweep ran
+        against the workload actually executed.  ``degraded`` says the
+        runtime walked its degradation ladder during the job.
+
+        Returns ``(action, new plan)``: the action is ``"frozen"``,
+        ``"rollback"``, ``"none"``, ``"reject"`` or ``"adopt"``; the new
+        plan (the last-good plan on rollback, the correction on adopt,
+        else ``None``) is for the governor to put in force.
         """
         name = graph.name
         if self._freeze.get(name, 0) > 0:
             self._freeze[name] -= 1
-            self.replan_health.frozen_skips += 1
-            self._replan_count("frozen_skips")
-            return "frozen"
+            self.bump("frozen_skips")
+            return "frozen", None
 
         measured_ee: Optional[float] = None
         if ledger.images > 0 and ledger.total_energy_j > 0:
@@ -219,44 +203,35 @@ class AdaptivePresetGovernor(PresetGovernor):
                 and trial.sparsity == float(sparsity):
             floor = trial.baseline_ee * (1.0 - self.regression_tolerance)
             if measured_ee < floor:
-                self.add_plan(trial.previous)
                 self._freeze[name] = self.cooldown_jobs
-                self.replan_health.rollbacks += 1
-                self._replan_count("rollbacks")
-                self._replan_span("rollback", name,
-                                  measured_ee=measured_ee,
-                                  baseline_ee=trial.baseline_ee)
-                return "rollback"
-            self.replan_health.confirmed += 1
-            self._replan_count("confirmed")
-            self._replan_span("confirm", name, measured_ee=measured_ee,
-                              baseline_ee=trial.baseline_ee)
+                self.bump("rollbacks")
+                self._span("rollback", name, measured_ee=measured_ee,
+                           baseline_ee=trial.baseline_ee)
+                return "rollback", trial.previous
+            self.bump("confirmed")
+            self._span("confirm", name, measured_ee=measured_ee,
+                       baseline_ee=trial.baseline_ee)
         # (a trial whose verify job ran at a different batch size is
         # inconclusive: keep the correction, drop the trial)
 
         # -- trigger: does this job's evidence warrant a correction? ----
-        mispredicted = ledger.mispredicted_blocks()
-        if not mispredicted and new_anomalies <= 0 \
-                and not self.health.degraded:
-            return "none"
-        plan = self._plans.get(name)
+        if not ledger.mispredicted_blocks() and new_anomalies <= 0 \
+                and not degraded:
+            return "none", None
         if plan is None or measured_ee is None:
-            return "none"
+            return "none", None
 
         candidate = self._synthesize(plan, ledger)
         if candidate is None:
-            return "none"
-        self.replan_health.proposed += 1
-        self._replan_count("proposed")
+            return "none", None
+        self.bump("proposed")
 
-        verdict = self._rescore(graph, batch_size, plan, candidate,
-                                sparsity)
-        if not verdict:
+        if not self._rescore(graph, batch_size, plan, candidate,
+                             sparsity):
             self._freeze[name] = self.cooldown_jobs
-            self.replan_health.rejected += 1
-            self._replan_count("rejected")
-            self._replan_span("reject", name)
-            return "reject"
+            self.bump("rejected")
+            self._span("reject", name)
+            return "reject", None
 
         n_changed = sum(1 for a, b in zip(plan.steps, candidate.steps)
                         if a.level != b.level)
@@ -264,13 +239,10 @@ class AdaptivePresetGovernor(PresetGovernor):
                                    baseline_ee=measured_ee,
                                    batch_size=int(batch_size),
                                    sparsity=float(sparsity))
-        self.add_plan(candidate)
-        self.replan_health.adopted += 1
-        self.replan_health.nudged_blocks += n_changed
-        self._replan_count("adopted")
-        self._replan_count("nudged_blocks", n_changed)
-        self._replan_span("adopt", name, nudged_blocks=n_changed)
-        return "adopt"
+        self.bump("adopted")
+        self.bump("nudged_blocks", n_changed)
+        self._span("adopt", name, nudged_blocks=n_changed)
+        return "adopt", candidate
 
     # ------------------------------------------------------------------
     # correction synthesis / re-scoring
@@ -322,3 +294,39 @@ class AdaptivePresetGovernor(PresetGovernor):
         improves = e_new <= e_cur * (1.0 - self.min_improvement_frac)
         fits = t_new <= t_cur * (1.0 + self.max_slowdown_frac)
         return improves and fits
+
+
+# ----------------------------------------------------------------------
+# historical names: the runtime with a replan policy attached
+# ----------------------------------------------------------------------
+#: Constructor keywords the historical names route to the policy.
+_POLICY_KNOBS = ("max_nudge", "min_improvement_frac", "max_slowdown_frac",
+                 "regression_tolerance", "cooldown_jobs", "obs")
+
+
+def _replanning(evaluator: AnalyticEvaluator,
+                kwargs: Dict[str, object]) -> PresetGovernor:
+    """The runtime with a policy; runtime counters share its metrics."""
+    policy = ReplanPolicy(evaluator, **{
+        k: kwargs.pop(k) for k in _POLICY_KNOBS if k in kwargs})
+    return PresetGovernor(replan=policy, metrics=policy.obs.metrics,
+                          **kwargs)
+
+
+def AdaptivePresetGovernor(plans: Sequence[FrequencyPlan],
+                           evaluator: AnalyticEvaluator,
+                           name: str = "powerlens-adaptive",
+                           **kwargs: object) -> PresetGovernor:
+    """Historical name of ``PresetGovernor(plans,
+    replan=ReplanPolicy(evaluator, ...))``."""
+    return _replanning(evaluator, dict(kwargs, plans=plans, name=name))
+
+
+def AdaptivePlanFamilyGovernor(families: Sequence[PlanFamily],
+                               evaluator: AnalyticEvaluator,
+                               name: str = "powerlens-family-adaptive",
+                               **kwargs: object) -> PresetGovernor:
+    """Historical name of ``PresetGovernor(families=...,
+    replan=ReplanPolicy(evaluator, ...))``."""
+    return _replanning(evaluator,
+                       dict(kwargs, families=families, name=name))

@@ -1,16 +1,17 @@
-"""Plan families: input-conditioned preset plans, selected at dispatch.
+"""Frequency plans and plan families: input-conditioned preset plans,
+selected at dispatch.
 
-The preset runtime (:mod:`repro.governors.preset`) carries **one**
-frequency plan per model; the adaptive loop
-(:mod:`repro.governors.adaptive`) corrects that plan *after* drift is
-observed.  SparseDVFS's observation is that the drift is often visible
-*in the input itself*: batch size and activation sparsity shift each
-block's sweep-optimal level enough that a single plan leaves energy on
-the table.  A :class:`PlanFamily` therefore holds a small grid of
-analytic plans per model — one member per ``(batch bucket, sparsity
-bucket)`` — and :class:`PlanFamilyGovernor` picks the member for each
-job at ``on_job_start``, *before* the first kernel launches, keeping
-the paper's zero-reactive-lag property.
+A :class:`FrequencyPlan` is one per-block level schedule for the preset
+runtime.  A single plan per model leaves energy on the table when the
+input drifts: SparseDVFS's observation is that batch size and
+activation sparsity shift each block's sweep-optimal level, and that
+the drift is visible *in the input itself*.  A :class:`PlanFamily`
+therefore holds a small grid of analytic plans per model — one member
+per ``(batch bucket, sparsity bucket)`` — and the preset runtime
+(:class:`~repro.governors.preset.PresetGovernor`) picks the member for
+each job at ``on_job_start``, *before* the first kernel launches,
+keeping the paper's zero-reactive-lag property.  A bare plan is simply
+a size-1 family (:meth:`PlanFamily.of`).
 
 Bucket-boundary determinism rules (property-tested in
 ``tests/test_governors_family.py``):
@@ -24,34 +25,123 @@ Bucket-boundary determinism rules (property-tested in
   no clock — so the same ``(batch, sparsity)`` always selects the same
   member.
 
-A family of size 1 degenerates to the static preset governor: the
-single member is installed at the first job start and never swapped, so
-the issued DVFS command stream is byte-identical to
-:class:`~repro.governors.preset.PresetGovernor` carrying the same plan
-(hypothesis-pinned).
-
-:class:`AdaptivePlanFamilyGovernor` composes the family with the
-closed-loop replanner: the selected member is the plan the inherited
-``observe_job`` nudges, and the corrected (or rolled-back) plan is
-written back to that member's bucket slot — nudges apply **per family
-member**, never smearing a batch-1 correction onto the batch-16 plan.
+A family of size 1 degenerates to the static preset runtime: the single
+member is installed at the first job start and never swapped, so the
+issued DVFS command stream is byte-identical to a governor carrying the
+bare plan (hypothesis-pinned).
 """
 
 from __future__ import annotations
 
+import hashlib
+import statistics
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.governors.adaptive import AdaptivePresetGovernor
-from repro.governors.preset import FrequencyPlan, PlanStep, PresetGovernor
 from repro.graph import Graph
 from repro.hw.analytic import AnalyticEvaluator
+from repro.hw.platform import PlatformSpec
 
-__all__ = ["FeatureBuckets", "PlanFamily", "analytic_plan",
-           "build_plan_family", "PlanFamilyGovernor",
-           "AdaptivePlanFamilyGovernor"]
+__all__ = ["PlanStep", "FrequencyPlan", "FeatureBuckets", "PlanFamily",
+           "analytic_plan", "build_plan_family"]
+
+
+@dataclass(frozen=True)
+class PlanStep:
+    """One instrumentation point: when operator ``op_index`` is about to
+    start, retarget the GPU to ``level``."""
+
+    op_index: int
+    level: int
+
+
+@dataclass
+class FrequencyPlan:
+    """Instrumentation points for one graph.
+
+    ``steps`` must be sorted by ``op_index`` and start at operator 0 so
+    every operator executes under an explicitly chosen level.
+
+    ``graph_fingerprint`` optionally records
+    :meth:`repro.graph.Graph.fingerprint` of the graph the plan was
+    computed for; the preset governor refuses to apply the plan to a
+    same-named graph whose fingerprint differs (stale-plan detection).
+    """
+
+    graph_name: str
+    steps: List[PlanStep] = field(default_factory=list)
+    graph_fingerprint: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if not self.steps:
+            raise ValueError("a frequency plan needs at least one step")
+        indices = [s.op_index for s in self.steps]
+        if indices != sorted(indices) or len(set(indices)) != len(indices):
+            raise ValueError("plan steps must be strictly increasing")
+        if self.steps[0].op_index != 0:
+            raise ValueError("plan must cover the graph from operator 0")
+        if any(s.op_index < 0 for s in self.steps):
+            raise ValueError("plan op indices must be non-negative")
+        self._indices = indices
+        self._levels = [s.level for s in self.steps]
+        self._fingerprint: Optional[str] = None
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.steps)
+
+    @property
+    def max_op_index(self) -> int:
+        return self.steps[-1].op_index
+
+    def level_for_op(self, op_index: int) -> int:
+        """Level in force while ``op_index`` executes."""
+        i = bisect_right(self._indices, op_index) - 1
+        return self._levels[i if i >= 0 else 0]
+
+    def switch_indices(self) -> List[int]:
+        """Operator indices where the level actually changes."""
+        result = []
+        prev: Optional[int] = None
+        for step in self.steps:
+            if prev is None or step.level != prev:
+                result.append(step.op_index)
+            prev = step.level
+        return result
+
+    def clamped(self, platform: PlatformSpec) -> "FrequencyPlan":
+        """Copy of this plan with every level clamped to ``platform``'s
+        ladder; returns ``self`` when nothing needs clamping."""
+        if all(platform.clamp_level(s.level) == s.level
+               for s in self.steps):
+            return self
+        return FrequencyPlan(
+            graph_name=self.graph_name,
+            steps=[PlanStep(s.op_index, platform.clamp_level(s.level))
+                   for s in self.steps],
+            graph_fingerprint=self.graph_fingerprint,
+        )
+
+    def safe_level(self) -> int:
+        """Static level used when the plan itself must be abandoned:
+        the plan's median level (low side) — conservative, always on
+        the plan's own ladder."""
+        return statistics.median_low(sorted(self._levels))
+
+    def fingerprint(self) -> str:
+        """Content hash of the plan (graph name, steps, recorded graph
+        fingerprint) — the key the governor's validation cache and the
+        adaptive replanner use to tell plans apart."""
+        if self._fingerprint is None:
+            blob = "/".join(
+                [self.graph_name, self.graph_fingerprint or ""]
+                + [f"{s.op_index}:{s.level}" for s in self.steps])
+            self._fingerprint = hashlib.sha256(
+                blob.encode()).hexdigest()[:32]
+        return self._fingerprint
+
 
 #: (batch bucket index, sparsity bucket index)
 Bucket = Tuple[int, int]
@@ -164,6 +254,15 @@ class PlanFamily:
                     f"member {bucket} is a plan for "
                     f"{plan.graph_name!r}, not {self.graph_name!r}")
 
+    @classmethod
+    def of(cls, plan: FrequencyPlan, batch_size: int = 1,
+           sparsity: float = 0.0) -> "PlanFamily":
+        """A bare plan as a size-1 family whose one grid point is
+        ``(batch_size, sparsity)``; every job selects it."""
+        return cls(plan.graph_name,
+                   FeatureBuckets((int(batch_size),), (float(sparsity),)),
+                   {(0, 0): plan}, plan.graph_fingerprint)
+
     @property
     def size(self) -> int:
         return len(self.members)
@@ -198,135 +297,3 @@ def build_plan_family(evaluator: AnalyticEvaluator, graph: Graph,
     return PlanFamily(graph_name=graph.name, buckets=buckets,
                       members=members,
                       graph_fingerprint=graph.fingerprint())
-
-
-class _FamilySelectionMixin:
-    """Dispatch-time member selection shared by both family runtimes.
-
-    Mixes in *before* a :class:`PresetGovernor` subclass; relies on its
-    ``_plans`` / ``add_plan`` / ``_count`` machinery.
-    """
-
-    def _init_families(self, families: Sequence[PlanFamily]) -> None:
-        fams = list(families)
-        self._families: Dict[str, PlanFamily] = {
-            f.graph_name: f for f in fams
-        }
-        if len(self._families) != len(fams):
-            raise ValueError("one family per graph name")
-        self._last_bucket: Dict[str, Bucket] = {}
-        #: Member lookups performed (one per job with a family).
-        self.family_selections = 0
-        #: Lookups that swapped the installed plan to another member.
-        self.family_switches = 0
-
-    def family_for(self, graph_name: str) -> Optional[PlanFamily]:
-        return self._families.get(graph_name)
-
-    def add_family(self, family: PlanFamily) -> None:
-        self._families[family.graph_name] = family
-
-    def _select_member(self, job) -> None:
-        """Install the family member for ``job``'s input features.
-
-        Runs at ``on_job_start`` — before the preset machinery reads
-        ``_plans`` — so the selected member is simply *the* plan for
-        the job; every downstream contract (validation, resilience
-        ladder, adaptive feedback) applies to it unchanged.
-        """
-        family = self._families.get(job.graph.name)
-        if family is None:
-            return
-        bucket = family.buckets.bucket_for(
-            job.batch_size, getattr(job, "sparsity", 0.0))
-        self._last_bucket[job.graph.name] = bucket
-        member = family.members[bucket]
-        self.family_selections += 1
-        self._count("family_selections")
-        current = self._plans.get(job.graph.name)
-        if current is not member:
-            if current is not None:
-                self.family_switches += 1
-                self._count("family_switches")
-            self.add_plan(member)
-
-
-class PlanFamilyGovernor(_FamilySelectionMixin, PresetGovernor):
-    """Static preset runtime over a plan family (module docstring).
-
-    ``validation_cache_size`` defaults to a bound that fits every
-    family member (each member has its own plan fingerprint, so a
-    family can thrash the stock 256-entry verdict cache when many
-    models share one device).
-    """
-
-    name = "powerlens-family"
-
-    def __init__(self, families: Sequence[PlanFamily],
-                 name: str = "powerlens-family",
-                 validation_cache_size: Optional[int] = None,
-                 **preset_kwargs: object) -> None:
-        fams = list(families)
-        if validation_cache_size is None:
-            members = sum(f.size for f in fams)
-            validation_cache_size = max(
-                PresetGovernor._VALIDATION_CACHE_SIZE, 2 * members)
-        super().__init__(
-            [], name=name,
-            validation_cache_size=validation_cache_size,
-            **preset_kwargs)  # type: ignore[arg-type]
-        self._init_families(fams)
-
-    def on_job_start(self, job_idx: int, job):
-        self._select_member(job)
-        return super().on_job_start(job_idx, job)
-
-
-class AdaptivePlanFamilyGovernor(_FamilySelectionMixin,
-                                 AdaptivePresetGovernor):
-    """Plan family + closed-loop replanning, composed per member.
-
-    The inherited :meth:`~repro.governors.adaptive.\
-AdaptivePresetGovernor.observe_job` nudges whatever plan is installed
-    for the graph — which, under a family, is the member the last job
-    selected.  After the observation the (corrected, confirmed or
-    rolled-back) current plan is written back to that member's bucket
-    slot, so each bucket accumulates its own corrections.
-    """
-
-    name = "powerlens-family-adaptive"
-
-    def __init__(self, families: Sequence[PlanFamily],
-                 evaluator: AnalyticEvaluator,
-                 name: str = "powerlens-family-adaptive",
-                 validation_cache_size: Optional[int] = None,
-                 **adaptive_kwargs: object) -> None:
-        fams = list(families)
-        if validation_cache_size is None:
-            members = sum(f.size for f in fams)
-            validation_cache_size = max(
-                PresetGovernor._VALIDATION_CACHE_SIZE, 2 * members)
-        super().__init__(
-            [], evaluator, name=name,
-            validation_cache_size=validation_cache_size,
-            **adaptive_kwargs)  # type: ignore[arg-type]
-        self._init_families(fams)
-
-    def on_job_start(self, job_idx: int, job):
-        self._select_member(job)
-        return super().on_job_start(job_idx, job)
-
-    def observe_job(self, graph, batch_size: int, ledger,
-                    new_anomalies: int = 0,
-                    sparsity: float = 0.0) -> str:
-        action = super().observe_job(graph, batch_size, ledger,
-                                     new_anomalies, sparsity)
-        family = self._families.get(graph.name)
-        bucket = self._last_bucket.get(graph.name)
-        if family is not None and bucket is not None:
-            current = self._plans.get(graph.name)
-            if current is not None:
-                # Nudges stick per member: the bucket that produced the
-                # evidence keeps its correction, siblings stay put.
-                family.members[bucket] = current
-        return action

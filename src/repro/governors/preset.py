@@ -1,15 +1,26 @@
-"""Preset governor: executes a per-block frequency plan.
+"""Preset governor: the PowerLens plan runtime.
 
 This is the runtime half of PowerLens (section 2.1.4): DVFS
 instrumentation points are preset *before* each power block, each
 carrying the block's target level, so the frequency is already correct
 when the block's first kernel launches — no reactive lag and no
-ping-pong.  The plan itself is produced offline by
-:class:`repro.core.pipeline.PowerLens` (or by the oracle / ablations).
+ping-pong.  The plans themselves are produced offline by
+:class:`repro.core.pipeline.PowerLens` (or by the oracle / ablations /
+the closed-form :func:`~repro.governors.family.analytic_plan`).
 
-Resilience (this module's second half): real actuators fail.  In
-``resilient`` mode (the default) the governor verifies every switch
-result the simulator reports back and walks a degradation ladder:
+Plan selection and replanning: the governor holds plans and plan
+families (:class:`~repro.governors.family.PlanFamily`; a bare plan is a
+size-1 family).  At ``on_job_start`` it installs the plan of the job's
+*slot* — its graph plus the grid point of the bucket its ``(batch,
+sparsity)`` falls in; this is the only selection path.  With
+``replan=`` (a :class:`~repro.governors.adaptive.ReplanPolicy`), a plan
+the policy adopts or rolls back to in :meth:`PresetGovernor.observe_job`
+is written back into that slot.  The caller's families are never
+mutated.
+
+Resilience: real actuators fail.  In ``resilient`` mode (the default)
+the governor verifies every switch result the simulator reports back
+and walks a degradation ladder:
 
 1. **retry** — a failed command is re-issued up to ``max_retries``
    times at the same decision point;
@@ -29,113 +40,27 @@ baseline.
 
 from __future__ import annotations
 
-import hashlib
-import statistics
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set, Tuple
 
 from repro.governors.base import Governor
+from repro.governors.family import (
+    Bucket, FrequencyPlan, PlanFamily, PlanStep)
 from repro.hw.dvfs import SwitchResult
 from repro.hw.faults import OUTCOME_CAPPED
 from repro.hw.perf import OpWork
 from repro.hw.platform import PlatformSpec
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 
+if TYPE_CHECKING:
+    from repro.governors.adaptive import ReplanHealth, ReplanPolicy
 
-@dataclass(frozen=True)
-class PlanStep:
-    """One instrumentation point: when operator ``op_index`` is about to
-    start, retarget the GPU to ``level``."""
+__all__ = ["FrequencyPlan", "PlanStep", "RuntimeHealth",
+           "PresetGovernor", "PlanFamilyGovernor"]
 
-    op_index: int
-    level: int
-
-
-@dataclass
-class FrequencyPlan:
-    """Instrumentation points for one graph.
-
-    ``steps`` must be sorted by ``op_index`` and start at operator 0 so
-    every operator executes under an explicitly chosen level.
-
-    ``graph_fingerprint`` optionally records
-    :meth:`repro.graph.Graph.fingerprint` of the graph the plan was
-    computed for; the preset governor refuses to apply the plan to a
-    same-named graph whose fingerprint differs (stale-plan detection).
-    """
-
-    graph_name: str
-    steps: List[PlanStep] = field(default_factory=list)
-    graph_fingerprint: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ValueError("a frequency plan needs at least one step")
-        indices = [s.op_index for s in self.steps]
-        if indices != sorted(indices) or len(set(indices)) != len(indices):
-            raise ValueError("plan steps must be strictly increasing")
-        if self.steps[0].op_index != 0:
-            raise ValueError("plan must cover the graph from operator 0")
-        if any(s.op_index < 0 for s in self.steps):
-            raise ValueError("plan op indices must be non-negative")
-        self._indices = indices
-        self._levels = [s.level for s in self.steps]
-        self._fingerprint: Optional[str] = None
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.steps)
-
-    @property
-    def max_op_index(self) -> int:
-        return self.steps[-1].op_index
-
-    def level_for_op(self, op_index: int) -> int:
-        """Level in force while ``op_index`` executes."""
-        i = bisect_right(self._indices, op_index) - 1
-        return self._levels[i if i >= 0 else 0]
-
-    def switch_indices(self) -> List[int]:
-        """Operator indices where the level actually changes."""
-        result = []
-        prev: Optional[int] = None
-        for step in self.steps:
-            if prev is None or step.level != prev:
-                result.append(step.op_index)
-            prev = step.level
-        return result
-
-    def clamped(self, platform: PlatformSpec) -> "FrequencyPlan":
-        """Copy of this plan with every level clamped to ``platform``'s
-        ladder; returns ``self`` when nothing needs clamping."""
-        if all(platform.clamp_level(s.level) == s.level
-               for s in self.steps):
-            return self
-        return FrequencyPlan(
-            graph_name=self.graph_name,
-            steps=[PlanStep(s.op_index, platform.clamp_level(s.level))
-                   for s in self.steps],
-            graph_fingerprint=self.graph_fingerprint,
-        )
-
-    def safe_level(self) -> int:
-        """Static level used when the plan itself must be abandoned:
-        the plan's median level (low side) — conservative, always on
-        the plan's own ladder."""
-        return statistics.median_low(sorted(self._levels))
-
-    def fingerprint(self) -> str:
-        """Content hash of the plan (graph name, steps, recorded graph
-        fingerprint) — the key the governor's validation cache and the
-        adaptive replanner use to tell plans apart."""
-        if self._fingerprint is None:
-            blob = "/".join(
-                [self.graph_name, self.graph_fingerprint or ""]
-                + [f"{s.op_index}:{s.level}" for s in self.steps])
-            self._fingerprint = hashlib.sha256(
-                blob.encode()).hexdigest()[:32]
-        return self._fingerprint
+#: A plan slot: graph name plus the ``(batch, sparsity)`` grid point of
+#: the family bucket a job falls in.
+Slot = Tuple[str, int, float]
 
 
 @dataclass
@@ -168,26 +93,29 @@ class RuntimeHealth:
                 or self.plans_rejected > 0 or self.plan_fallbacks > 0)
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "switch_retries": self.switch_retries,
-            "switch_failures": self.switch_failures,
-            "blocks_pinned": self.blocks_pinned,
-            "plans_rejected": self.plans_rejected,
-            "plan_fallbacks": self.plan_fallbacks,
-            "levels_clamped": self.levels_clamped,
-            "caps_honored": self.caps_honored,
-        }
+        return asdict(self)
 
 
 class PresetGovernor(Governor):
-    """Applies :class:`FrequencyPlan` objects at instrumentation points.
+    """The plan runtime: applies each job's :class:`FrequencyPlan` at its
+    instrumentation points (module docstring).
 
-    Plans are keyed by graph name; jobs whose graph has no plan run at
+    Jobs whose graph has neither a plan nor a family run at
     ``fallback_level`` (maximum by default).  The CPU keeps the stock
     ondemand policy — the paper's PowerLens configures *only* the GPU.
 
     Parameters
     ----------
+    plans:
+        Bare plans, one per graph name; each is a size-1 family.
+    families:
+        Plan families, one per graph name; each job runs the member of
+        the bucket its ``(batch, sparsity)`` falls in.
+    replan:
+        :class:`~repro.governors.adaptive.ReplanPolicy` that corrects
+        plans between jobs from ledger feedback (:meth:`observe_job`);
+        ``None`` is the static runtime.  A policy holds per-graph state,
+        so give every governor its own.
     resilient:
         Verify every switch outcome and walk the degradation ladder
         (module docstring).  ``False`` gives the naive fire-and-forget
@@ -205,18 +133,19 @@ class PresetGovernor(Governor):
         median level.
     validation_cache_size:
         Bound on the job-start validation-verdict cache (FIFO).  The
-        default (256) suits a handful of plans per graph; plan
-        *families* sharing one graph mint a fingerprint per member and
-        can thrash a small cache, so family runtimes size it to the
-        family.  Evictions are counted in ``validation_evictions``
-        (and mirrored into
-        :class:`~repro.governors.adaptive.ReplanHealth` by the
-        adaptive governor).
+        default is 256 or twice the number of member plans, whichever
+        is larger: every member has its own plan fingerprint, so many
+        families sharing one device would thrash a fixed bound.
+        Evictions are counted in ``validation_evictions`` (and in the
+        replan policy's :class:`~repro.governors.adaptive.ReplanHealth`).
     """
 
     name = "powerlens"
 
-    def __init__(self, plans: Sequence[FrequencyPlan],
+    #: Floor of the validation-verdict cache bound (FIFO eviction).
+    _VALIDATION_CACHE_SIZE = 256
+
+    def __init__(self, plans: Sequence[FrequencyPlan] = (),
                  fallback_level: Optional[int] = None,
                  name: str = "powerlens",
                  resilient: bool = True,
@@ -224,36 +153,56 @@ class PresetGovernor(Governor):
                  max_block_failures: int = 3,
                  safe_level: Optional[int] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 validation_cache_size: Optional[int] = None) -> None:
+                 validation_cache_size: Optional[int] = None,
+                 families: Sequence[PlanFamily] = (),
+                 replan: Optional[ReplanPolicy] = None) -> None:
         super().__init__()
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if max_block_failures < 1:
             raise ValueError("max_block_failures must be >= 1")
-        if validation_cache_size is not None:
-            if validation_cache_size < 1:
-                raise ValueError("validation_cache_size must be >= 1")
-            # Instance attribute shadows the class-level default.
-            self._VALIDATION_CACHE_SIZE = int(validation_cache_size)
+        if validation_cache_size is not None and validation_cache_size < 1:
+            raise ValueError("validation_cache_size must be >= 1")
+        families = list(families)
+        if len({f.graph_name for f in families}) != len(families):
+            raise ValueError("one family per graph name")
         self.name = name
         self.resilient = resilient
         self.max_retries = max_retries
         self.max_block_failures = max_block_failures
+        self.replan = replan
         self._safe_override = safe_level
-        self._plans: Dict[str, FrequencyPlan] = {
-            p.graph_name: p for p in plans
-        }
         self._fallback = fallback_level
         # Observe-only mirror of RuntimeHealth: counters survive reset()
         # (metrics are cumulative across jobs; health is per-run).
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.health = RuntimeHealth()
+        # Selection state: each graph's family, the plan currently in
+        # force for it, and the corrections written back per slot.
+        self._families: Dict[str, PlanFamily] = {}
+        self._plans: Dict[str, FrequencyPlan] = {}
+        self._slots: Dict[Slot, FrequencyPlan] = {}
+        # Graphs given as families rather than bare plans: only their
+        # selections are counted.
+        self._counted: Set[str] = set()
+        #: Member lookups performed (one per job with a family).
+        self.family_selections = 0
+        #: Lookups that swapped the installed plan to another member.
+        self.family_switches = 0
         self._installed: Dict[str, FrequencyPlan] = {}
+        for plan in plans:
+            self.add_plan(plan)
+        for family in families:
+            self.add_family(family)
+        # Instance attribute shadows the class-level floor.
+        self._VALIDATION_CACHE_SIZE = validation_cache_size or max(
+            self._VALIDATION_CACHE_SIZE,
+            2 * sum(f.size for f in self._families.values()))
         # Verdict cache for the structural job-start validation, keyed
         # by (plan fingerprint, graph fingerprint): a fault storm that
         # re-enters the same (plan, graph) pair must not rescan the
-        # graph's node list every job (bounded FIFO — the adaptive
-        # replanner mints new plan fingerprints over time).
+        # graph's node list every job (bounded FIFO — replanning mints
+        # new plan fingerprints over time).
         self._validation_cache: Dict[Tuple[str, str], bool] = {}
         #: Verdicts evicted from the bounded validation cache
         #: (cumulative — the cache itself survives reset()).
@@ -274,17 +223,100 @@ class PresetGovernor(Governor):
         (no-op on the default disabled registry)."""
         self.metrics.counter(f"powerlens_runtime_{event}_total").inc(n)
 
-    def _note_validation_eviction(self) -> None:
-        """Hook for subclasses that mirror eviction counts elsewhere
-        (the adaptive governor folds them into ReplanHealth)."""
+    @property
+    def replan_health(self) -> Optional[ReplanHealth]:
+        """The replan policy's counters (``None`` when static)."""
+        return self.replan.health if self.replan is not None else None
 
+    # ------------------------------------------------------------------
+    # plans, families and slots
+    # ------------------------------------------------------------------
     def plan_for(self, graph_name: str) -> Optional[FrequencyPlan]:
+        """The plan in force for ``graph_name``: the member its last job
+        selected (or the bare plan before any job)."""
         return self._plans.get(graph_name)
 
-    def add_plan(self, plan: FrequencyPlan) -> None:
+    def add_plan(self, plan: FrequencyPlan, batch_size: int = 1,
+                 sparsity: float = 0.0) -> None:
+        """Make ``plan`` its graph's plan: a size-1 family whose slot is
+        the grid point ``(batch_size, sparsity)``.  A correction written
+        back into that slot is dropped unless it is ``plan`` itself."""
+        name = plan.graph_name
+        self._families[name] = PlanFamily.of(plan, batch_size, sparsity)
+        self._counted.discard(name)
+        slot = (name, int(batch_size), float(sparsity))
+        if self._slots.get(slot) is not plan:
+            self._slots.pop(slot, None)
+        self._use(plan)
+
+    def add_family(self, family: PlanFamily) -> None:
+        self._families[family.graph_name] = family
+        self._counted.add(family.graph_name)
+
+    def slot_plan(self, graph_name: str, batch_size: int,
+                  sparsity: float) -> Optional[FrequencyPlan]:
+        """The correction written back into the slot at grid point
+        ``(batch_size, sparsity)``, if any."""
+        return self._slots.get((graph_name, int(batch_size),
+                                float(sparsity)))
+
+    @staticmethod
+    def _slot(family: PlanFamily, bucket: Bucket) -> Slot:
+        return (family.graph_name,) + family.buckets.representative(bucket)
+
+    def _use(self, plan: FrequencyPlan) -> None:
+        """Put ``plan`` in force for its graph (installed at once when a
+        platform is bound, else at the next reset)."""
         self._plans[plan.graph_name] = plan
         if self.platform is not None:
             self._install(plan)
+
+    def _select(self, job) -> None:
+        """Install the plan of ``job``'s slot: the correction written
+        back there, else the family member of the job's bucket."""
+        name = job.graph.name
+        family = self._families.get(name)
+        if family is None:
+            return
+        bucket = family.buckets.bucket_for(
+            job.batch_size, getattr(job, "sparsity", 0.0))
+        plan = self._slots.get(self._slot(family, bucket))
+        if plan is None:
+            plan = family.members[bucket]
+        counted = name in self._counted
+        if counted:
+            self.family_selections += 1
+            self._count("family_selections")
+        current = self._plans.get(name)
+        if current is not plan:
+            if counted and current is not None:
+                self.family_switches += 1
+                self._count("family_switches")
+            self._use(plan)
+
+    def observe_job(self, graph, batch_size: int, ledger,
+                    new_anomalies: int = 0,
+                    sparsity: float = 0.0) -> str:
+        """Feed one finished job's ledger to the replan policy and
+        return its action (see
+        :meth:`~repro.governors.adaptive.ReplanPolicy.observe`).
+
+        A plan the policy adopts or rolls back to is put in force and
+        written back into the slot the job selected — its graph plus
+        the bucket of ``(batch_size, sparsity)``.
+        """
+        if self.replan is None:
+            raise RuntimeError("observe_job needs a replan policy")
+        action, plan = self.replan.observe(
+            graph, batch_size, ledger, self._plans.get(graph.name),
+            new_anomalies=new_anomalies, sparsity=sparsity,
+            degraded=self.health.degraded)
+        if plan is not None:
+            self._use(plan)
+            family = self._families[graph.name]
+            bucket = family.buckets.bucket_for(batch_size, sparsity)
+            self._slots[self._slot(family, bucket)] = plan
+        return action
 
     # ------------------------------------------------------------------
     # installation / validation
@@ -331,9 +363,6 @@ class PresetGovernor(Governor):
     # ------------------------------------------------------------------
     # plan execution
     # ------------------------------------------------------------------
-    #: Bound on the validation-verdict cache (FIFO eviction).
-    _VALIDATION_CACHE_SIZE = 256
-
     def _validated_plan(self, job) -> Optional[FrequencyPlan]:
         """Installed plan for the job's graph, or ``None`` when absent
         or rejected by the structural checks.
@@ -365,7 +394,8 @@ class PresetGovernor(Governor):
                     next(iter(self._validation_cache)))
                 self.validation_evictions += 1
                 self._count("validation_evictions")
-                self._note_validation_eviction()
+                if self.replan is not None:
+                    self.replan.bump("validation_evictions")
         if not verdict:
             if name not in self._rejected_names:
                 self._rejected_names.add(name)
@@ -375,6 +405,7 @@ class PresetGovernor(Governor):
         return plan
 
     def on_job_start(self, job_idx: int, job) -> Optional[int]:
+        self._select(job)
         self._pinned = {}
         self._block_failures = 0
         self._fallen_back = False
@@ -483,8 +514,9 @@ class PresetGovernor(Governor):
             return self._request(safe, retries=0)
         return None
 
-    # ------------------------------------------------------------------
-    def pin_block(self, op_idx: int, level: int) -> None:
-        """Record that ``op_idx``'s block runs at ``level`` from now on
-        (exposed for tests)."""
-        self._pinned[op_idx] = level
+
+def PlanFamilyGovernor(families: Sequence[PlanFamily],
+                       name: str = "powerlens-family",
+                       **kwargs: object) -> PresetGovernor:
+    """Historical name of ``PresetGovernor(families=...)``."""
+    return PresetGovernor(families=families, name=name, **kwargs)

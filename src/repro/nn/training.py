@@ -62,7 +62,9 @@ class Trainer:
 
     def evaluate(self, inputs: Tuple[np.ndarray, ...],
                  targets: np.ndarray) -> Tuple[float, float]:
-        """(loss, accuracy) in eval mode."""
+        """(loss, accuracy) in eval mode; an empty split is (NaN, 0.0)."""
+        if len(targets) == 0:
+            return float("nan"), 0.0
         self.model.eval()
         logits = self._forward(inputs)
         loss, _ = self.loss_fn.forward(logits, targets)
@@ -82,7 +84,11 @@ class Trainer:
         """Train until convergence or ``max_epochs``.
 
         Early stopping restores the best-validation-loss parameters.
+        Without validation data (``None`` or an empty split) training
+        runs all ``max_epochs`` and keeps the final parameters.
         """
+        has_val = val_inputs is not None and val_targets is not None \
+            and len(val_targets) > 0
         t0 = time.perf_counter()
         optimizer = Adam(self.model.params(), self.model.grads(),
                          lr=self.lr, weight_decay=self.weight_decay)
@@ -106,7 +112,7 @@ class Trainer:
                 n_batches += 1
             self.history.train_loss.append(epoch_loss / max(n_batches, 1))
 
-            if val_inputs is not None and val_targets is not None:
+            if has_val:
                 val_loss, val_acc = self.evaluate(val_inputs, val_targets)
                 self.history.val_loss.append(val_loss)
                 self.history.val_accuracy.append(val_acc)

@@ -45,9 +45,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.graph import Graph
 from repro.governors import (
     GOVERNOR_REGISTRY,
-    AdaptivePresetGovernor,
+    FeatureBuckets,
     FrequencyPlan,
     PresetGovernor,
+    ReplanPolicy,
     make_governor,
 )
 from repro.governors.family import analytic_plan
@@ -260,21 +261,18 @@ class SimulatedDevice:
         self.unhealthy_after = unhealthy_after
         # Family mode: plans are additionally keyed by the activation
         # sparsity *bucket* of each job.  ``sparsity_edges`` are the
-        # bucket lower edges (sorted, each edge doubling as the
-        # representative sparsity its plans are built at); non-family
-        # governors keep the single dense bucket so every key, plan and
-        # event they produce stays byte-identical to the pre-family
-        # serving layer.
-        self.family_enabled = governor in FAMILY_GOVERNORS
+        # bucket lower edges (each edge doubling as the representative
+        # sparsity its plans are built at; 0.0 is always one, so every
+        # job lands in a bucket).  Plans are built per exact batch size,
+        # so the batch axis is not bucketed.  Non-family governors keep
+        # the single dense bucket so every key, plan and event they
+        # produce stays byte-identical to the pre-family serving layer.
         edges = tuple(sorted({float(s) for s in sparsity_edges}))
-        if not edges:
-            raise ValueError("at least one sparsity edge required")
-        if not all(0.0 <= s < 1.0 for s in edges):
-            raise ValueError("sparsity edges must be in [0, 1)")
-        if edges[0] != 0.0:
-            # Totality: jobs below the first edge must land somewhere.
+        if edges and edges[0] > 0.0:
             edges = (0.0,) + edges
-        self.sparsity_edges = edges if self.family_enabled else (0.0,)
+        self.buckets = FeatureBuckets((1,), edges)
+        if governor not in FAMILY_GOVERNORS:
+            self.buckets = FeatureBuckets((1,))
         self.evaluator = AnalyticEvaluator(self.platform)
         self.plan_cache = PlanCache(self.evaluator, latency_slack,
                                     block_size)
@@ -290,26 +288,16 @@ class SimulatedDevice:
         # their timing/power tables (values are byte-identical either
         # way; see repro.hw.analytic.simulator_op_rows).
         self._op_row_cache: dict = {}
-        if governor in ("powerlens", "powerlens-family"):
-            # Family mode reuses the preset runtime: the per-dispatch
-            # plan *selection* below (plan cache + overlay keyed by
-            # sparsity bucket) is the family; the runtime only ever
-            # sees the selected member.
-            self._governor = PresetGovernor([], name=governor,
-                                            metrics=self.obs.metrics)
-        elif governor in ("powerlens-adaptive",
-                          "powerlens-family-adaptive"):
-            self._governor = AdaptivePresetGovernor(
-                [], self.evaluator, latency_slack=latency_slack,
-                obs=self.obs, name=governor)
-        else:
+        # The PowerLens names run the preset runtime; each dispatch
+        # hands it the plan of the job's slot (see execute).
+        self._preset: Optional[PresetGovernor] = None
+        if governor in GOVERNOR_REGISTRY:
             self._governor = make_governor(governor)
-        # Adopted corrections per (graph fingerprint, batch, sparsity
-        # bucket): the adaptive loop's plans survive across dispatches
-        # without polluting the content-hash plan cache, and nudges
-        # never leak across family members.
-        self._plan_overlay: Dict[Tuple[str, int, float],
-                                 FrequencyPlan] = {}
+        else:
+            replan = (ReplanPolicy(self.evaluator, obs=self.obs)
+                      if governor.endswith("-adaptive") else None)
+            self._governor = self._preset = PresetGovernor(
+                name=governor, metrics=self.obs.metrics, replan=replan)
         # -- scheduler-visible state --------------------------------------
         self.busy = False
         self.drained = False
@@ -336,17 +324,10 @@ class SimulatedDevice:
     # ------------------------------------------------------------------
     def sparsity_bucket(self, sparsity: float) -> float:
         """Representative sparsity the plans for ``sparsity`` are built
-        at: the largest configured edge not exceeding it (bisect —
-        deterministic and total; always 0.0 for non-family governors)."""
-        from bisect import bisect_right
-
-        edges = self.sparsity_edges
-        return edges[max(0, bisect_right(edges, float(sparsity)) - 1)]
-
-    def plan_for(self, graph: Graph, batch_size: int,
-                 sparsity: float = 0.0) -> FrequencyPlan:
-        return self.plan_cache.get_or_build(
-            graph, batch_size, self.sparsity_bucket(sparsity))
+        at: the largest configured edge not exceeding it (always 0.0
+        for non-family governors)."""
+        return self.buckets.sparsity_edges[
+            self.buckets.sparsity_bucket(sparsity)]
 
     def prewarm(self, graphs: Sequence[Graph], batch_sizes:
                 Sequence[int]) -> None:
@@ -354,7 +335,7 @@ class SimulatedDevice:
         safe to run from a thread pool)."""
         for graph in graphs:
             for batch in batch_sizes:
-                for edge in self.sparsity_edges:
+                for edge in self.buckets.sparsity_edges:
                     self.plan_cache.get_or_build(graph, batch, edge)
                 self.predict(graph, batch)
 
@@ -460,16 +441,16 @@ class SimulatedDevice:
                 self.fleet_seed, self.name, dispatch_seq, "faults"))
         plan = None
         sbucket = self.sparsity_bucket(job.sparsity)
-        overlay_key = (job.graph.fingerprint(), int(job.batch_size),
-                       sbucket)
-        executed_plan = None
-        if isinstance(self._governor, PresetGovernor):
-            plan = self._plan_overlay.get(overlay_key)
+        if self._preset is not None:
+            # The job's slot is its graph at the grid point (batch,
+            # sparsity bucket).  The plan cache serves only slots the
+            # governor holds no written-back correction for.
+            plan = self._preset.slot_plan(job.graph.name,
+                                          job.batch_size, sbucket)
             if plan is None:
-                plan = self.plan_for(job.graph, job.batch_size,
-                                     sbucket)
-            self._governor.add_plan(plan)
-            executed_plan = plan
+                plan = self.plan_cache.get_or_build(
+                    job.graph, job.batch_size, sbucket)
+            self._preset.add_plan(plan, job.batch_size, sbucket)
         sim = InferenceSimulator(
             self.platform,
             sample_period=self.config.sample_period,
@@ -486,9 +467,9 @@ class SimulatedDevice:
         result = sim.run([job], self._governor)
         new_anomalies = len(self.anomaly.anomalies) - anomalies_before
         replan_action = ""
-        if isinstance(self._governor, AdaptivePresetGovernor):
-            # The adaptive loop needs misprediction flags, so this
-            # ledger carries the evaluator; the static path stays
+        if self._preset is not None and self._preset.replan is not None:
+            # Replanning needs misprediction flags, so this ledger
+            # carries the evaluator; the static path stays
             # byte-identical to its pre-adaptive form.
             ledger = EnergyLedger.from_result(
                 result, plan=plan, graph=job.graph,
@@ -496,13 +477,10 @@ class SimulatedDevice:
                 batch_size=job.batch_size,
                 latency_slack=self.plan_cache.latency_slack,
                 sparsity=job.sparsity)
-            replan_action = self._governor.observe_job(
+            replan_action = self._preset.observe_job(
                 job.graph, job.batch_size, ledger,
                 new_anomalies=new_anomalies,
                 sparsity=job.sparsity)
-            current = self._governor.plan_for(job.graph.name)
-            if current is not None and current is not plan:
-                self._plan_overlay[overlay_key] = current
         else:
             ledger = EnergyLedger.from_result(result, plan=plan,
                                               graph=job.graph)
@@ -516,8 +494,8 @@ class SimulatedDevice:
             switch_count=result.switch_count,
             new_anomalies=new_anomalies,
             replan_action=replan_action,
-            plan_fingerprint=(executed_plan.fingerprint()
-                              if executed_plan is not None else ""),
+            plan_fingerprint=(plan.fingerprint() if plan is not None
+                              else ""),
             sparsity_bucket=sbucket,
         )
         self.jobs_done += 1

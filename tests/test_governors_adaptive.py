@@ -105,7 +105,7 @@ class TestBoundedCorrections:
         stale = gov.plan_for(graph.name)
         _, ledger = _run_job(gov, graph, DRIFT_BATCH)
         assert ledger.mispredicted_blocks()
-        candidate = gov._synthesize(stale, ledger)
+        candidate = gov.replan._synthesize(stale, ledger)
         assert candidate is not None
         flagged = {row.op_start for row in ledger.mispredicted_blocks()}
         for old, new in zip(stale.steps, candidate.steps):
@@ -119,7 +119,8 @@ class TestBoundedCorrections:
         gov = _adaptive(graph)
         _, ledger = _run_job(gov, graph, BUILD_BATCH)
         assert not ledger.mispredicted_blocks()
-        assert gov._synthesize(gov.plan_for(graph.name), ledger) is None
+        assert gov.replan._synthesize(gov.plan_for(graph.name),
+                                      ledger) is None
 
 
 # ----------------------------------------------------------------------
@@ -182,9 +183,9 @@ class TestRollback:
         _, ledger = _run_job(gov, graph, DRIFT_BATCH)
         # pretend the pre-swap job measured an absurdly good EE, so the
         # real verify measurement reads as a regression
-        gov._trial[graph.name] = _Trial(previous=last_good,
-                                        baseline_ee=1e9,
-                                        batch_size=DRIFT_BATCH)
+        gov.replan._trial[graph.name] = _Trial(previous=last_good,
+                                               baseline_ee=1e9,
+                                               batch_size=DRIFT_BATCH)
         assert gov.observe_job(graph, DRIFT_BATCH, ledger) == "rollback"
         assert gov.plan_for(graph.name) is last_good
         assert gov.replan_health.rollbacks == 1
@@ -195,15 +196,15 @@ class TestRollback:
         gov = _adaptive(graph)
         last_good = gov.plan_for(graph.name)
         _, ledger = _run_job(gov, graph, BUILD_BATCH)
-        gov._trial[graph.name] = _Trial(previous=last_good,
-                                        baseline_ee=1e9,
-                                        batch_size=DRIFT_BATCH)
+        gov.replan._trial[graph.name] = _Trial(previous=last_good,
+                                               baseline_ee=1e9,
+                                               batch_size=DRIFT_BATCH)
         # verify job ran at a different batch: neither rollback nor
         # confirm, trial dropped
         gov.observe_job(graph, BUILD_BATCH, ledger)
         assert gov.replan_health.rollbacks == 0
         assert gov.replan_health.confirmed == 0
-        assert graph.name not in gov._trial
+        assert graph.name not in gov.replan._trial
 
 
 # ----------------------------------------------------------------------

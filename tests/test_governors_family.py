@@ -11,12 +11,13 @@ The contract under test (see ``repro.governors.family``):
   (per-job energy/time/switch-count signatures over simulator runs);
 * **member selection** — jobs land on the member whose bucket covers
   their ``(batch, sparsity)``, and the selection counters track swaps;
-* **adaptive composition** — ``AdaptivePlanFamilyGovernor`` writes
-  nudged plans back to the member that produced the evidence, leaving
-  sibling members untouched;
+* **adaptive composition** — with a replan policy the governor writes
+  nudged plans back into the slot of the member that produced the
+  evidence, leaving sibling members untouched and never mutating the
+  caller's family;
 * **validation-cache satellite** — the ``validation_cache_size`` knob
-  of the base :class:`PresetGovernor` bounds the verdict cache, counts
-  evictions, and the adaptive subclass mirrors the count into
+  of :class:`PresetGovernor` bounds the verdict cache, counts
+  evictions, and a replanning governor mirrors the count into
   :class:`ReplanHealth`.
 """
 
@@ -252,13 +253,36 @@ class TestAdaptiveComposition:
         for seed in range(4):
             sig, result = _run_job(gov, graph, 1, seed=seed)
             action = self._observe(gov, graph, 1, result)
-            if action == "adopted":
+            if action == "adopt":
                 break
         assert gov.replan_health.adopted >= 1
-        # The corrected plan landed in the batch-1 bucket...
-        assert fam.members[(0, 0)] is not sibling_before
+        corrected = gov.plan_for(graph.name)
+        assert corrected is not sibling_before
+        # The corrected plan landed in the batch-1 slot...
+        _run_job(gov, graph, 1, seed=10)
+        assert gov.plan_for(graph.name) is corrected
         # ...and the batch-16 sibling is untouched.
-        assert fam.members[(1, 0)] is sibling_before
+        _run_job(gov, graph, 16, seed=11)
+        assert gov.plan_for(graph.name) is sibling_before
+        # The caller's family itself is never mutated.
+        assert fam.members[(0, 0)] is sibling_before
+
+    def test_shared_family_corrections_stay_per_governor(self):
+        """Two replanning governors built from one family: a correction
+        adopted by one must not reach the other."""
+        graph = _graph()
+        fam = _family(graph, batches=(1, 16))
+        fam.members[(0, 0)] = fam.members[(1, 0)]
+        stale = fam.members[(0, 0)]
+        first = AdaptivePlanFamilyGovernor([fam], EVALUATOR,
+                                           resilient=True)
+        second = AdaptivePlanFamilyGovernor([fam], EVALUATOR,
+                                            resilient=True)
+        _, result = _run_job(first, graph, 1)
+        assert self._observe(first, graph, 1, result) == "adopt"
+        assert first.plan_for(graph.name) is not stale
+        _run_job(second, graph, 1)
+        assert second.plan_for(graph.name) is stale
 
     def test_zero_drift_family_adaptive_idle(self):
         graph = _graph()

@@ -1,5 +1,8 @@
 """Trainer / data utility / metric tests."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,22 @@ class TestTrainer:
         hist = trainer.fit((x[:150],), y[:150], (x[150:],), y[150:])
         assert len(hist.train_loss) == len(hist.val_loss)
         assert len(hist.val_accuracy) == len(hist.val_loss)
+
+    def test_empty_validation_split_disables_early_stopping(self):
+        """A split too small to fill validation must train for every
+        epoch without numeric warnings, not stop on a NaN loss."""
+        x, y = self._separable(100)
+        model = Sequential.mlp([4, 8, 2], seed=7)
+        trainer = Trainer(model, lr=5e-3, max_epochs=12, patience=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hist = trainer.fit((x,), y, (x[:0],), y[:0])
+            loss, acc = trainer.evaluate((x[:0],), y[:0])
+        assert hist.epochs == 12
+        assert hist.val_loss == []
+        assert hist.best_epoch == -1
+        assert math.isnan(loss)
+        assert acc == 0.0
 
     def test_loss_decreases(self):
         x, y = self._separable(400)
