@@ -18,8 +18,8 @@ Scale knobs:
 
 * ``POWERLENS_BENCH_SERVE_RATE``     — arrival rate in rps (default 60).
 * ``POWERLENS_BENCH_SERVE_DURATION`` — trace horizon in s (default 2).
-* ``POWERLENS_BENCH_SIM_RUNS``       — static fast-path repetitions
-  (default 30).
+* ``POWERLENS_BENCH_SIM_RUNS``       — simulator-loop repetitions per
+  timing in the fast-path benches (default 30).
 """
 
 import json
@@ -29,8 +29,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.governors import PresetGovernor, analytic_plan
 from repro.governors.static import StaticGovernor
 from repro.hw import jetson_tx2
+from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.simulator import InferenceJob, InferenceSimulator
 from repro.models.random_gen import RandomDNNGenerator
 from repro.obs.ledger import EnergyLedger
@@ -42,6 +44,7 @@ from repro.serving import (
     make_trace,
 )
 from tests.conftest import build_small_cnn
+from tests.simref import ReferenceSimulator
 
 pytestmark = pytest.mark.perf
 
@@ -225,31 +228,23 @@ def test_request_trace_overhead(benchmark):
         f"request tracing overhead blew up: {overhead:.2f}x")
 
 
-class _GenericStatic(StaticGovernor):
-    """StaticGovernor without the fast-path marker: forces the retained
-    per-segment reference loop for the comparison baseline."""
-    supports_static_fast_path = False
-
-
-@pytest.mark.benchmark(group="serving")
-def test_static_sim_fastpath(benchmark):
-    """Static-run segment integration vs the per-segment reference
-    loop: byte-identical traces/samples/ledgers and >= 2x, measured
-    fleet-style (fresh simulator per run, shared op-row cache)."""
-    platform = jetson_tx2()
+def _jobs():
     graphs = [RandomDNNGenerator(seed=s).generate() for s in range(4)]
-    jobs = [InferenceJob(graph=g, batch_size=16, n_batches=3)
+    return [InferenceJob(graph=g, batch_size=16, n_batches=3)
             for g in graphs]
 
-    def run_once(governor_cls, cache):
-        sim = InferenceSimulator(platform, sample_period=0.02,
-                                 op_row_cache=cache)
-        return sim.run(jobs, governor_cls())
 
-    # Correctness gate first: the fast path must be indistinguishable
-    # from the reference loop, including the energy ledger.
-    ref = run_once(_GenericStatic, None)
-    fast = run_once(StaticGovernor, {})
+def _row_loop_vs_reference(platform, jobs, make_governor):
+    """Check the simulator's row-driven loop against the per-segment
+    reference (byte-identical traces/samples/reports/ledgers), then time
+    ``SIM_RUNS`` fleet-style runs of each — fresh simulator per run,
+    shared op-row cache on the fast side — as min-of-3 wall seconds."""
+    def run_once(sim_cls, cache):
+        sim = sim_cls(platform, sample_period=0.02, op_row_cache=cache)
+        return sim.run(jobs, make_governor())
+
+    ref = run_once(ReferenceSimulator, None)
+    fast = run_once(InferenceSimulator, {})
     assert fast.trace.segments == ref.trace.segments
     assert fast.samples == ref.samples
     assert fast.report == ref.report
@@ -259,32 +254,73 @@ def test_static_sim_fastpath(benchmark):
     assert fast_ledger.reconciliation.energy_rel_err <= 1e-9
     assert fast_ledger.to_dict() == ref_ledger.to_dict()
 
-    def time_runs(governor_cls, cache):
+    def time_runs(sim_cls, cache):
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
             for _ in range(SIM_RUNS):
-                run_once(governor_cls, cache)
+                run_once(sim_cls, cache)
             best = min(best, time.perf_counter() - t0)
         return best
 
-    ref_s = time_runs(_GenericStatic, None)
+    ref_s = time_runs(ReferenceSimulator, None)
     shared_cache: dict = {}
-    fast_s = benchmark.pedantic(
-        lambda: time_runs(StaticGovernor, shared_cache),
-        rounds=1, iterations=1)
+    fast_s = time_runs(InferenceSimulator, shared_cache)
+    return fast, ref_s, fast_s
 
+
+def _record_fastpath(section: str, label: str, n_jobs: int, ref_s: float,
+                     fast_s: float, **extra) -> float:
     speedup = ref_s / fast_s
     print()
-    print(f"  static sim, {len(jobs)} jobs x {SIM_RUNS} runs: "
+    print(f"  {label}, {n_jobs} jobs x {SIM_RUNS} runs: "
           f"reference {ref_s:.2f}s, fast {fast_s:.2f}s "
           f"({speedup:.2f}x)")
-    _record("static_sim_fastpath", {
-        "n_jobs": len(jobs),
+    _record(section, {
+        "n_jobs": n_jobs,
         "sim_runs": SIM_RUNS,
         "reference_wall_s": round(ref_s, 3),
         "fast_wall_s": round(fast_s, 3),
         "speedup": round(speedup, 2),
+        **extra,
     })
+    return speedup
+
+
+@pytest.mark.benchmark(group="serving")
+def test_static_sim_fastpath(benchmark):
+    """Static-governor runs: the row-driven loop vs the per-segment
+    reference loop, byte-identical and >= 2x."""
+    platform = jetson_tx2()
+    jobs = _jobs()
+    _, ref_s, fast_s = benchmark.pedantic(
+        lambda: _row_loop_vs_reference(platform, jobs, StaticGovernor),
+        rounds=1, iterations=1)
+    speedup = _record_fastpath("static_sim_fastpath", "static sim",
+                               len(jobs), ref_s, fast_s)
     assert speedup >= 2.0, (
         f"static sim fast path regressed: {speedup:.2f}x < 2x")
+
+
+@pytest.mark.benchmark(group="serving")
+def test_serving_dispatch_fastpath(benchmark):
+    """Resilient ``PresetGovernor`` runs — the default ``powerlens``
+    serving runtime, one analytic plan per graph — through the
+    row-driven loop vs the per-segment reference: byte-identical
+    traces/samples/ledgers, speedup recorded."""
+    platform = jetson_tx2()
+    jobs = _jobs()
+    evaluator = AnalyticEvaluator(platform)
+    plans = [analytic_plan(evaluator, j.graph, j.batch_size)
+             for j in jobs]
+
+    def governor():
+        return PresetGovernor(plans, resilient=True)
+
+    fast, ref_s, fast_s = benchmark.pedantic(
+        lambda: _row_loop_vs_reference(platform, jobs, governor),
+        rounds=1, iterations=1)
+    assert fast.switch_count > 0  # the plans really switch levels
+    _record_fastpath("serving_dispatch_fastpath", "preset dispatch",
+                     len(jobs), ref_s, fast_s,
+                     switch_count=fast.switch_count)

@@ -25,9 +25,10 @@ implementations are retained as ``*_reference`` methods.
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,29 +156,47 @@ class ProfileTable:
         return total_e, total_t
 
 
-def simulator_op_rows(latency: LatencyModel, power: PowerModel,
-                      works: Sequence[OpWork], freq: float,
-                      batch_size: int) -> List[Tuple[float, float,
-                                                     float, float]]:
-    """ProfileTable-style op rows for the simulator's static fast path.
+def simulator_op_rows(n_ops: int) -> Tuple[array, ...]:
+    """Per-operator cost rows of one ``(graph, batch)`` for the simulator
+    loop, not yet filled.
 
-    One ``(duration, busy_gpu_power, compute_util, memory_util)`` row per
-    operator at a fixed frequency, produced by the *same* scalar
-    ``LatencyModel.time_of`` / ``PowerModel.gpu_busy`` calls the
-    per-segment event loop makes — so a run that integrates whole op
-    sequences from these rows is bit-identical to one that re-derives
-    the numbers segment by segment (the models are pure).  The simulator
-    caches rows per ``(graph fingerprint, batch_size, level)`` and fleet
-    devices share one cache across dispatches.
+    Five columns of ``n_ops`` entries: the GPU level each row holds
+    (``array('h')``, ``-1`` until first use) and four ``array('d')``
+    columns — duration, busy GPU power, compute utilization, memory
+    utilization.  :func:`fill_simulator_op_row` (re)computes a row
+    whenever its op runs at a level other than the stored one, so an op
+    that keeps running at one level — every op of a static plan — costs
+    one model evaluation per cache, and the cache holds one row per op
+    rather than one per op and level.  Columns of machine numbers
+    rather than a list of tuples keep long-lived caches small.  The
+    simulator caches rows per ``(graph fingerprint, batch_size)`` and
+    fleet devices share one cache across dispatches.
     """
-    rows = []
-    for work in works:
-        timing = latency.time_of(work, freq, batch_size)
-        rows.append((timing.duration,
-                     power.gpu_busy(freq, timing),
-                     timing.compute_utilization,
-                     timing.memory_utilization))
-    return rows
+    return (array("h", [-1]) * n_ops,) + tuple(
+        array("d", [0.0]) * n_ops for _ in range(4))
+
+
+def fill_simulator_op_row(rows: Tuple[array, ...], op_idx: int,
+                          level: int, latency: LatencyModel,
+                          power: PowerModel, work: OpWork,
+                          batch_size: int) -> Tuple[float, float,
+                                                    float, float]:
+    """Compute and store one operator's ``(duration, busy_gpu_power,
+    compute_util, memory_util)`` row at GPU ``level``.
+
+    The values come from the *same* scalar ``LatencyModel.time_of`` /
+    ``PowerModel.gpu_busy`` calls a per-segment loop would make, so a
+    run that integrates ops from these rows is bit-identical to one that
+    re-derives the numbers segment by segment (the models are pure).
+    """
+    freq = latency.platform.freq_of_level(level)
+    timing = latency.time_of(work, freq, batch_size)
+    row = (timing.duration, power.gpu_busy(freq, timing),
+           timing.compute_utilization, timing.memory_utilization)
+    levels, durs, gpu_ps, cus, mus = rows
+    levels[op_idx] = level
+    durs[op_idx], gpu_ps[op_idx], cus[op_idx], mus[op_idx] = row
+    return row
 
 
 class AnalyticEvaluator:

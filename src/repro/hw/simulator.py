@@ -23,16 +23,29 @@ preset runtime) are told each command's achieved level and may answer
 with a bounded number of immediate retry targets.  With no profile (or
 an all-zero one) the fault layer is bypassed entirely, keeping traces,
 telemetry and energy byte-identical to the pre-fault simulator.
+
+Integration: one loop per phase serves every run.  Per-operator cost is
+a lookup — :func:`~repro.hw.analytic.simulator_op_rows` rows memoized
+per ``(graph fingerprint, batch)``, one per op, recomputed when the op
+runs at a level other than the stored one — re-read whenever the level
+changes, including mid-op at a window boundary.  Duration noise scales
+the looked-up duration, thermal leakage is added per segment, and
+faults act at actuation and window close, so the same loop carries
+static and dynamic runs alike.  The rows hold exactly what the scalar
+models return, so the result is byte-identical to re-deriving timing
+and power segment by segment (``tests/simref.py`` keeps that reference
+loop; ``tests/test_simulator_fastpath.py`` pins the identity).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.graph import Graph
-from repro.hw.analytic import simulator_op_rows
+from repro.hw.analytic import fill_simulator_op_row, simulator_op_rows
 from repro.hw.dvfs import DVFSController, SwitchResult
 from repro.hw.faults import (
     OUTCOME_DROPPED,
@@ -47,7 +60,6 @@ from repro.hw.thermal import ThermalConfig, ThermalState
 from repro.hw.telemetry import (
     KIND_CPU,
     KIND_GPU_OP,
-    KIND_IDLE,
     KIND_SWITCH,
     METRIC_SAMPLES,
     EnergyReport,
@@ -85,6 +97,12 @@ class InferenceJob:
     sparsity: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.n_batches < 1:
+            raise ValueError("n_batches must be >= 1")
+        if not 0.0 <= self.cpu_work_per_image < math.inf:
+            raise ValueError("cpu_work_per_image must be finite and >= 0")
         if not 0.0 <= self.sparsity < 1.0:
             raise ValueError("sparsity must be in [0, 1)")
 
@@ -135,18 +153,6 @@ class _SampleWindow:
         self.cpu_e = 0.0
         self.total_e = 0.0
 
-    def add(self, seg: TraceSegment) -> None:
-        dt = seg.duration
-        if seg.kind == KIND_GPU_OP:
-            self.busy_gpu += dt
-        if seg.kind == KIND_CPU:
-            self.busy_cpu += dt
-        self.cu += seg.compute_util * dt
-        self.mu += seg.memory_util * dt
-        self.gpu_e += seg.gpu_power * dt
-        self.cpu_e += seg.cpu_power * dt
-        self.total_e += seg.total_power * dt
-
 
 class InferenceSimulator:
     """Runs inference jobs on a platform under a governor.
@@ -177,10 +183,12 @@ class InferenceSimulator:
     op_row_cache:
         Optional dict shared across simulator instances that memoizes
         :func:`repro.hw.analytic.simulator_op_rows` per
-        ``(graph fingerprint, batch_size, level)`` for the static-run
-        fast path.  Fleet devices pass a per-device dict so repeated
+        ``(graph fingerprint, batch_size)`` and each dense graph's op
+        walk per fingerprint; every run times its GPU phase from these
+        rows.  Fleet devices pass a per-device dict so repeated
         dispatches of the same model skip the scalar timing/power calls
-        entirely; ``None`` gives each simulator a private cache.
+        entirely; ``None`` gives each simulator a private cache.  Cached
+        and uncached runs are byte-identical.
     """
 
     def __init__(self, platform: PlatformSpec, sample_period: float = 0.02,
@@ -191,8 +199,10 @@ class InferenceSimulator:
                  obs: Optional[Observability] = None,
                  anomaly: Optional[object] = None,
                  op_row_cache: Optional[Dict] = None) -> None:
-        if sample_period <= 0:
-            raise ValueError("sample_period must be positive")
+        if not 0.0 < sample_period < math.inf:
+            raise ValueError("sample_period must be finite and positive")
+        if not 0.0 <= noise_std < math.inf:
+            raise ValueError("noise_std must be finite and >= 0")
         self.platform = platform
         self.sample_period = sample_period
         self.noise_std = noise_std
@@ -216,10 +226,12 @@ class InferenceSimulator:
             "powerlens_dvfs_switches_total")
         self._m_dropped_cmds = self.obs.metrics.counter(
             "powerlens_dvfs_commands_dropped_total")
-        self._m_samples = self.obs.metrics.counter(METRIC_SAMPLES)
-        # Static-run fast-path caches (see _run_gpu_phase_static).  Both
-        # memoize values produced by the exact scalar model calls the
-        # generic loop makes, so cached and uncached runs are
+        # Registered up front so the sample counter is exported even by
+        # a run that closes no window (windows count through
+        # record_sample_metrics).
+        self.obs.metrics.counter(METRIC_SAMPLES)
+        # Memoized model rows (see _op_row): the values the scalar
+        # model calls produce, so cached and uncached runs are
         # byte-identical.
         self._op_row_cache: Dict = (op_row_cache if op_row_cache is not None
                                     else {})
@@ -252,54 +264,29 @@ class InferenceSimulator:
         samples: List[TelemetrySample] = []
         per_job: List[EnergyReport] = []
 
-        # Static-run fast path: when nothing can perturb a segment
-        # between telemetry samples — no duration noise, no thermal
-        # feedback, no fault injector, and a governor that declares it
-        # pins one level — whole op sequences integrate from cached
-        # ProfileTable-style rows instead of re-deriving timing/power
-        # per segment.  The lean loops still honour every governor hook
-        # and replay the exact generic arithmetic, so traces, samples
-        # and ledgers stay byte-identical (tests/test_simulator_fastpath).
-        static_fast = (
-            self.noise_std <= 0
-            and state.thermal is None
-            and state.injector is None
-            and getattr(governor, "supports_static_fast_path", False)
-            and getattr(governor, "on_switch_result", None) is None
-        )
-
         for job_idx, job in enumerate(jobs):
             e0, t0 = state.trace.total_energy, state.trace.total_time
             level = governor.on_job_start(job_idx, job)
             if level is not None:
                 self._apply_switch(state, level)
-            if static_fast:
-                fp = job.graph.fingerprint()
-                # Sparse jobs get their own cache identity: the rescaled
-                # works differ per sparsity, and zero-sparsity keys keep
-                # their original shape so warm fleet caches stay valid.
-                if job.sparsity > 0.0:
-                    fp = f"{fp}/s={job.sparsity!r}"
-                # The op walk is pure in the graph, so a shared row
-                # cache may also carry it across simulator instances
-                # (fleet builds a fresh simulator per dispatch).
-                works = self._op_row_cache.get(("works", fp))
-                if works is None:
-                    works = sparse_works(
-                        self.latency.graph_work(job.graph), job.sparsity)
-                    self._op_row_cache[("works", fp)] = works
-                for _batch in range(job.n_batches):
-                    self._run_cpu_phase_static(state, governor, job,
-                                               samples)
-                    self._run_gpu_phase_static(state, governor, job,
-                                               job_idx, fp, works, samples)
-            else:
-                works = sparse_works(self.latency.graph_work(job.graph),
-                                     job.sparsity)
-                for _batch in range(job.n_batches):
-                    self._run_cpu_phase(state, governor, job, samples)
-                    self._run_gpu_phase(state, governor, job, job_idx,
-                                        works, samples)
+            # The op walk is pure in the graph, so the shared cache
+            # carries it across simulator instances (the fleet builds a
+            # fresh simulator per dispatch); sparse jobs rescale it.
+            fp = job.graph.fingerprint()
+            works = self._op_row_cache.get(("works", fp))
+            if works is None:
+                works = self._op_row_cache[("works", fp)] = \
+                    self.latency.graph_work(job.graph)
+            works = sparse_works(works, job.sparsity)
+            # Op rows are keyed by graph fingerprint; a sparse job gets
+            # its own identity (its rescaled works differ), and dense
+            # keys keep their plain shape.
+            if job.sparsity > 0.0:
+                fp = f"{fp}/s={job.sparsity!r}"
+            for _batch in range(job.n_batches):
+                self._run_cpu_phase(state, governor, job, samples)
+                self._run_gpu_phase(state, governor, job, job_idx, fp,
+                                    works, samples)
             per_job.append(EnergyReport(
                 images=job.images,
                 total_time=state.trace.total_time - t0,
@@ -332,225 +319,83 @@ class InferenceSimulator:
                        job: InferenceJob,
                        samples: List[TelemetrySample]) -> None:
         """CPU preprocessing for one batch; GPU idles."""
-        cpu_ops = job.cpu_work_per_image * job.batch_size
-        remaining = cpu_ops
-        while remaining > 1e-9:
-            cpu_freq = self._cpu_freq(state)
-            rate = self.platform.cpu.ops_per_cycle * cpu_freq
-            t_rem = remaining / rate
-            dt = min(t_rem, state.next_sample - state.t)
-            dt = max(dt, 1e-12)
-            gpu_p = self.power.gpu_idle(state.dvfs.freq)
-            cpu_p = self.power.cpu_busy(cpu_freq)
-            self._emit(state, dt, KIND_CPU, gpu_p, cpu_p, 0.0, 0.0,
-                       label=f"{job.label()}:cpu")
-            remaining -= rate * dt
-            self._maybe_sample(state, governor, samples)
-
-    def _run_gpu_phase(self, state: "_RunState", governor,
-                       job: InferenceJob, job_idx: int,
-                       works: Sequence[OpWork],
-                       samples: List[TelemetrySample]) -> None:
-        """GPU operator sequence for one batch."""
-        for op_idx, work in enumerate(works):
-            level = governor.on_op_start(job_idx, op_idx, work)
-            if level is not None:
-                self._apply_switch(state, level)
-            noise = self._noise_factor()
-            remaining = 1.0  # fraction of the op still to execute
-            while remaining > 1e-12:
-                freq = state.dvfs.freq
-                timing = self.latency.time_of(work, freq, job.batch_size)
-                duration = timing.duration * noise
-                t_rem = remaining * duration
-                dt = min(t_rem, state.next_sample - state.t)
-                dt = max(dt, 1e-12)
-                gpu_p = self.power.gpu_busy(freq, timing)
-                cpu_p = self._cpu_power_during_gpu(state)
-                self._emit(state, dt, KIND_GPU_OP, gpu_p, cpu_p,
-                           timing.compute_utilization,
-                           timing.memory_utilization,
-                           label=work.name, op_index=op_idx)
-                remaining -= dt / duration
-                changed = self._maybe_sample(state, governor, samples)
-                if changed:
-                    # Frequency changed mid-op: recompute with the work
-                    # fraction that remains.
-                    continue
-
-    # ------------------------------------------------------------------
-    # static-run fast path (see run()): same arithmetic as the generic
-    # phases, but model lookups come from memoized rows and the
-    # window/sample bookkeeping is inlined.  The generic loops are the
-    # retained reference; tests/test_simulator_fastpath.py pins
-    # byte-identity between the two.
-    # ------------------------------------------------------------------
-    def _run_cpu_phase_static(self, state: "_RunState", governor,
-                              job: InferenceJob,
-                              samples: List[TelemetrySample]) -> None:
         remaining = job.cpu_work_per_image * job.batch_size
-        trace = state.trace
-        keep_segs = trace.keep_segments
-        segs = trace.segments
-        board_p = self.platform.board_power
         label = f"{job.label()}:cpu"
         glevel = state.dvfs.level
         gpu_p = self._gpu_idle_power(glevel)
         rate, cpu_p = self._cpu_phase_row(state.cpu_level)
         while remaining > 1e-9:
-            t = state.t
             t_rem = remaining / rate
-            dt = min(t_rem, state.next_sample - t)
+            dt = min(t_rem, state.next_sample - state.t)
             dt = max(dt, 1e-12)
-            t_end = t + dt
-            # Trace.append/_SampleWindow.add inlined: ``dseg`` is
-            # ``seg.duration`` ((t_end - t_start), NOT dt — they differ
-            # when t_end rounds), accumulated in the reference order.
-            dseg = t_end - t
-            trace.total_time = t_end
-            trace.gpu_energy += gpu_p * dseg
-            trace.cpu_energy += cpu_p * dseg
-            trace.board_energy += board_p * dseg
-            if keep_segs:
-                segs.append(TraceSegment(
-                    t_start=t, t_end=t_end, kind=KIND_CPU,
-                    gpu_level=glevel, gpu_power=gpu_p, cpu_power=cpu_p,
-                    board_power=board_p, compute_util=0.0,
-                    memory_util=0.0, label=label))
-            w = state.window
-            w.busy_cpu += dseg
-            w.gpu_e += gpu_p * dseg
-            w.cpu_e += cpu_p * dseg
-            w.total_e += (gpu_p + cpu_p + board_p) * dseg
-            state.t = t_end
+            self._emit(state, dt, KIND_CPU, gpu_p, cpu_p, 0.0, 0.0,
+                       label=label)
             remaining -= rate * dt
-            if t_end >= state.next_sample - 1e-12:
-                if self._close_window_static(state, governor, samples):
+            if state.t >= state.next_sample - 1e-12:
+                self._close_window(state, governor, samples)
+                if state.dvfs.level != glevel:
                     glevel = state.dvfs.level
                     gpu_p = self._gpu_idle_power(glevel)
                 rate, cpu_p = self._cpu_phase_row(state.cpu_level)
 
-    def _run_gpu_phase_static(self, state: "_RunState", governor,
-                              job: InferenceJob, job_idx: int, fp: str,
-                              works: Sequence[OpWork],
-                              samples: List[TelemetrySample]) -> None:
+    def _run_gpu_phase(self, state: "_RunState", governor,
+                       job: InferenceJob, job_idx: int, fp: str,
+                       works: Sequence[OpWork],
+                       samples: List[TelemetrySample]) -> None:
+        """GPU operator sequence for one batch, timed from the cached op
+        rows."""
         batch = job.batch_size
-        trace = state.trace
-        keep_segs = trace.keep_segments
-        segs = trace.segments
-        board_p = self.platform.board_power
-        glevel = state.dvfs.level
-        rows = self._op_rows(fp, batch, glevel, works)
+        rows = self._op_row_cache.get((fp, batch))
+        if rows is None:
+            rows = self._op_row_cache[(fp, batch)] = simulator_op_rows(
+                len(works))
         cpu_busy_p, cpu_idle_p = self._cpu_during_gpu_powers(
             state.cpu_level)
         for op_idx, work in enumerate(works):
             level = governor.on_op_start(job_idx, op_idx, work)
-            if level is not None and self._apply_switch(state, level):
-                glevel = state.dvfs.level
-                rows = self._op_rows(fp, batch, glevel, works)
-            duration, gpu_p, cu, mu = rows[op_idx]
+            if level is not None:
+                self._apply_switch(state, level)
+            noise = self._noise_factor()
+            glevel = state.dvfs.level
+            duration, gpu_p, cu, mu = self._op_row(rows, op_idx, work,
+                                                   glevel, batch)
+            duration *= noise
             name = work.name
             remaining = 1.0  # fraction of the op still to execute
             while remaining > 1e-12:
                 t = state.t
-                t_rem = remaining * duration
-                dt = min(t_rem, state.next_sample - t)
+                dt = min(remaining * duration, state.next_sample - t)
                 dt = max(dt, 1e-12)
                 cpu_p = (cpu_busy_p if t < state.cpu_busy_until
                          else cpu_idle_p)
-                t_end = t + dt
-                # Trace.append/_SampleWindow.add inlined: ``dseg`` is
-                # ``seg.duration`` ((t_end - t_start), NOT dt — they
-                # differ when t_end rounds), reference order preserved.
-                dseg = t_end - t
-                trace.total_time = t_end
-                trace.gpu_energy += gpu_p * dseg
-                trace.cpu_energy += cpu_p * dseg
-                trace.board_energy += board_p * dseg
-                trace.busy_gpu_time += dseg
-                if keep_segs:
-                    segs.append(TraceSegment(
-                        t_start=t, t_end=t_end, kind=KIND_GPU_OP,
-                        gpu_level=glevel, gpu_power=gpu_p, cpu_power=cpu_p,
-                        board_power=board_p, compute_util=cu,
-                        memory_util=mu, label=name, op_index=op_idx))
-                w = state.window
-                w.busy_gpu += dseg
-                w.cu += cu * dseg
-                w.mu += mu * dseg
-                w.gpu_e += gpu_p * dseg
-                w.cpu_e += cpu_p * dseg
-                w.total_e += (gpu_p + cpu_p + board_p) * dseg
-                state.t = t_end
+                self._emit(state, dt, KIND_GPU_OP, gpu_p, cpu_p, cu, mu,
+                           label=name, op_index=op_idx)
                 remaining -= dt / duration
-                if t_end >= state.next_sample - 1e-12:
-                    if self._close_window_static(state, governor,
-                                                 samples):
-                        # Level changed at the boundary: the remaining
-                        # fraction re-times at the new frequency, like
-                        # the generic loop's mid-op recompute.
+                if state.t >= state.next_sample - 1e-12:
+                    self._close_window(state, governor, samples)
+                    if state.dvfs.level != glevel:
+                        # Frequency changed mid-op: the remaining
+                        # fraction re-times at the new level.
                         glevel = state.dvfs.level
-                        rows = self._op_rows(fp, batch, glevel, works)
-                        duration, gpu_p, cu, mu = rows[op_idx]
+                        duration, gpu_p, cu, mu = self._op_row(
+                            rows, op_idx, work, glevel, batch)
+                        duration *= noise
                     cpu_busy_p, cpu_idle_p = self._cpu_during_gpu_powers(
                         state.cpu_level)
 
-    def _close_window_static(self, state: "_RunState", governor,
-                             samples: List[TelemetrySample]) -> bool:
-        """Inlined :meth:`_maybe_sample` body for static runs (no
-        injector, no thermal override); same call order, same sample."""
-        w = state.window
-        t = state.t
-        period = t - w.start
-        if period <= 0:
-            period = self.sample_period
-        sample = TelemetrySample(
-            t=t,
-            period=period,
-            gpu_level=state.dvfs.level,
-            gpu_busy=min(1.0, w.busy_gpu / period),
-            compute_util=min(1.0, w.cu / period),
-            memory_util=min(1.0, w.mu / period),
-            gpu_power=w.gpu_e / period,
-            cpu_power=w.cpu_e / period,
-            total_power=w.total_e / period,
-            cpu_busy=min(1.0, w.busy_cpu / period),
-            cpu_level=state.cpu_level,
-        )
-        # record_sample_metrics() collapsed to the cached handle: the
-        # window was delivered (no injector) and cannot be faulty.
-        self._m_samples.inc()
-        if self.anomaly is not None:
-            self.anomaly.on_sample(sample)
-        if self.keep_samples:
-            samples.append(sample)
-        if state.cpu_policy == "ondemand":
-            # _update_cpu_policy inlined for the common host policy.
-            if sample.cpu_busy > 0.6:
-                state.cpu_level = len(self.platform.cpu.freq_levels) - 1
-            elif sample.cpu_busy < 0.1:
-                state.cpu_level = max(0, state.cpu_level - 2)
-        else:
-            self._update_cpu_policy(state, sample)
-        level = governor.on_sample(sample)
-        # The closed window object is unreachable once the sample is
-        # built; recycle it instead of allocating a fresh one.
-        w.reset(t)
-        state.next_sample = t + self.sample_period
-        if level is not None:
-            return self._apply_switch(state, level)
-        return False
-
-    def _op_rows(self, fp: str, batch_size: int, level: int,
-                 works: Sequence[OpWork]):
-        key = (fp, batch_size, level)
-        rows = self._op_row_cache.get(key)
-        if rows is None:
-            freq = self.platform.freq_of_level(level)
-            rows = simulator_op_rows(self.latency, self.power, works,
-                                     freq, batch_size)
-            self._op_row_cache[key] = rows
-        return rows
+    # ------------------------------------------------------------------
+    # memoized model rows: every value comes from the same scalar model
+    # call a per-segment loop would make, so lookups change no bytes.
+    # ------------------------------------------------------------------
+    def _op_row(self, rows, op_idx: int, work: OpWork, level: int,
+                batch_size: int):
+        """``(duration, busy power, compute util, memory util)`` of one
+        op at ``level``, computed only if the row holds another level."""
+        levels, durs, gpu_ps, cus, mus = rows
+        if levels[op_idx] != level:
+            return fill_simulator_op_row(rows, op_idx, level, self.latency,
+                                         self.power, work, batch_size)
+        return durs[op_idx], gpu_ps[op_idx], cus[op_idx], mus[op_idx]
 
     def _cpu_phase_row(self, cpu_level: int):
         key = ("cpu_phase", cpu_level)
@@ -586,43 +431,59 @@ class InferenceSimulator:
     def _emit(self, state: "_RunState", dt: float, kind: str,
               gpu_p: float, cpu_p: float, cu: float, mu: float,
               label: str = "", op_index: int = -1) -> None:
+        """Integrate one constant-power segment into the trace and the
+        open telemetry window (:meth:`Trace.append` and a window add,
+        inlined in their accumulation order)."""
+        board_p = self.platform.board_power
         if state.thermal is not None:
             # Temperature-dependent leakage rides on top of the nominal
             # static power; integrate the die forward over this segment.
             mult = state.thermal.leakage_multiplier()
-            extra = self.power.gpu_static(state.dvfs.freq) * (mult - 1.0)
-            gpu_p += extra
-            state.thermal.advance(
-                gpu_p + cpu_p + self.platform.board_power, dt)
-        seg = TraceSegment(
-            t_start=state.t,
-            t_end=state.t + dt,
-            kind=kind,
-            gpu_level=state.dvfs.level,
-            gpu_power=gpu_p,
-            cpu_power=cpu_p,
-            board_power=self.platform.board_power,
-            compute_util=cu,
-            memory_util=mu,
-            label=label,
-            op_index=op_index,
-        )
-        state.trace.append(seg)
-        state.window.add(seg)
-        state.t += dt
-
-    def _maybe_sample(self, state: "_RunState", governor,
-                      samples: List[TelemetrySample]) -> bool:
-        """Close the telemetry window if we reached its boundary; let the
-        governor react.  Returns True when the GPU level changed."""
-        if state.t < state.next_sample - 1e-12:
-            return False
+            gpu_p += self.power.gpu_static(state.dvfs.freq) * (mult - 1.0)
+            state.thermal.advance(gpu_p + cpu_p + board_p, dt)
+        t = state.t
+        t_end = t + dt
+        # The segment's duration, not dt: they differ when t_end rounds.
+        d = t_end - t
+        trace = state.trace
         w = state.window
-        period = state.t - w.start
+        trace.total_time = t_end
+        trace.gpu_energy += gpu_p * d
+        trace.cpu_energy += cpu_p * d
+        trace.board_energy += board_p * d
+        if kind == KIND_GPU_OP:
+            trace.busy_gpu_time += d
+            w.busy_gpu += d
+        elif kind == KIND_CPU:
+            w.busy_cpu += d
+        elif kind == KIND_SWITCH:
+            trace.switch_count += 1
+        if trace.keep_segments:
+            trace.segments.append(TraceSegment(
+                t_start=t, t_end=t_end, kind=kind,
+                gpu_level=state.dvfs.level, gpu_power=gpu_p,
+                cpu_power=cpu_p, board_power=board_p, compute_util=cu,
+                memory_util=mu, label=label, op_index=op_index))
+        w.cu += cu * d
+        w.mu += mu * d
+        w.gpu_e += gpu_p * d
+        w.cpu_e += cpu_p * d
+        w.total_e += (gpu_p + cpu_p + board_p) * d
+        state.t = t_end
+
+    def _close_window(self, state: "_RunState", governor,
+                      samples: List[TelemetrySample]) -> None:
+        """Close the telemetry window that ends at ``state.t``: deliver
+        the sample (through the fault injector, if any), update the host
+        policy, let the governor react, and apply thermal throttling or
+        an external cap."""
+        w = state.window
+        t = state.t
+        period = t - w.start
         if period <= 0:
             period = self.sample_period
         sample = TelemetrySample(
-            t=state.t,
+            t=t,
             period=period,
             gpu_level=state.dvfs.level,
             gpu_busy=min(1.0, w.busy_gpu / period),
@@ -638,9 +499,9 @@ class InferenceSimulator:
         if state.injector is not None:
             delivered = state.injector.deliver_sample(sample)
         record_sample_metrics(self.obs.metrics, delivered)
-        if self.anomaly is not None and delivered is not None:
-            self.anomaly.on_sample(delivered)
         if delivered is not None:
+            if self.anomaly is not None:
+                self.anomaly.on_sample(delivered)
             if self.keep_samples:
                 samples.append(delivered)
             self._update_cpu_policy(state, delivered)
@@ -649,51 +510,49 @@ class InferenceSimulator:
             # Dropped window: the governor never hears about it and
             # holds its last action; the host policy holds too.
             level = None
-        state.window = _SampleWindow(state.t)
-        state.next_sample = state.t + self.sample_period
+        w.reset(t)
+        state.next_sample = t + self.sample_period
         if state.thermal is not None and state.thermal.update_throttle():
             # Thermal governor overrides everyone while engaged.
             cap = self.platform.clamp_level(
                 state.thermal.config.throttle_level)
             target = min(level, cap) if level is not None else cap
             if target != state.dvfs.level or state.dvfs.level > cap:
-                return self._apply_switch(state, min(target, cap))
-            return False
+                self._apply_switch(state, min(target, cap))
+            return
         if state.injector is not None and level is None:
             # External cap enforcement: when a cap window is active and
             # the GPU sits above it, the outside agent forces the clock
             # down even though the governor stayed silent.  Requesting
             # the *current* level routes the clamp through ``actuate``
             # so it is counted (and observed) as a capped command.
-            cap = state.injector.active_cap(state.t)
+            cap = state.injector.active_cap(t)
             if cap is not None and \
                     state.dvfs.level > self.platform.clamp_level(cap):
                 level = state.dvfs.level
         if level is not None:
-            return self._apply_switch(state, level)
-        return False
+            self._apply_switch(state, level)
 
-    def _apply_switch(self, state: "_RunState", level: int) -> bool:
+    def _apply_switch(self, state: "_RunState", level: int) -> None:
         """Actuate a GPU level change; let a verifying governor retry.
 
         The governor's ``on_switch_result`` (when defined) sees every
         outcome — including clean ones — and may answer a failed command
         with a new target, bounded by :data:`MAX_ACTUATIONS_PER_POINT`.
         """
-        changed = self._actuate_once(state, level)
+        self._actuate_once(state, level)
         notify = getattr(self._governor, "on_switch_result", None)
         if notify is None:
-            return changed
+            return
         attempts = 0
         while attempts < MAX_ACTUATIONS_PER_POINT:
             retry = notify(state.last_switch_result)
             if retry is None:
                 break
             attempts += 1
-            changed = self._actuate_once(state, retry) or changed
-        return changed
+            self._actuate_once(state, retry)
 
-    def _actuate_once(self, state: "_RunState", level: int) -> bool:
+    def _actuate_once(self, state: "_RunState", level: int) -> None:
         """One actuation attempt, charging stall + CPU command cost."""
         result = state.dvfs.actuate(state.t, level,
                                     injector=state.injector)
@@ -711,7 +570,7 @@ class InferenceSimulator:
                     state.cpu_busy_until,
                     state.t + self.platform.dvfs_cpu_busy_s,
                 )
-            return False
+            return
         stall = self.platform.dvfs_stall_s + result.extra_stall_s
         self._m_switches.inc()
         self._m_switch_stall.observe(stall)
@@ -725,13 +584,6 @@ class InferenceSimulator:
             state.cpu_busy_until,
             state.t + self.platform.dvfs_cpu_busy_s,
         )
-        return True
-
-    def _cpu_power_during_gpu(self, state: "_RunState") -> float:
-        freq = self._cpu_freq(state)
-        if state.t < state.cpu_busy_until:
-            return self.power.cpu_busy(freq)
-        return self.power.cpu_idle(freq)
 
     def _cpu_freq(self, state: "_RunState") -> float:
         return self.platform.cpu.freq_levels[state.cpu_level]

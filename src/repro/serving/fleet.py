@@ -282,11 +282,11 @@ class SimulatedDevice:
                                  metrics=MetricsRegistry())
         self.anomaly = AnomalyDetector(config=anomaly_config,
                                        obs=self.obs)
-        # Shared across dispatches: the simulator's static fast path
-        # memoizes per-(fingerprint, batch, level) op rows here, so a
-        # device serving the same models repeatedly never re-derives
-        # their timing/power tables (values are byte-identical either
-        # way; see repro.hw.analytic.simulator_op_rows).
+        # Shared across dispatches: the simulator memoizes each op's
+        # timing/power row per (fingerprint, batch) here, so a device
+        # serving the same models repeatedly never re-derives them
+        # (values are byte-identical either way; see
+        # repro.hw.analytic.simulator_op_rows).
         self._op_row_cache: dict = {}
         # The PowerLens names run the preset runtime; each dispatch
         # hands it the plan of the job's slot (see execute).

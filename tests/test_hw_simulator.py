@@ -30,6 +30,28 @@ class TestBasics:
         with pytest.raises(ValueError):
             InferenceSimulator(tx2, sample_period=0.0)
 
+    @pytest.mark.parametrize("target, kwargs", [
+        ("job", dict(batch_size=0)),
+        ("job", dict(batch_size=-1)),
+        ("job", dict(n_batches=0)),
+        ("job", dict(cpu_work_per_image=-1.0)),
+        ("job", dict(cpu_work_per_image=float("inf"))),
+        ("job", dict(cpu_work_per_image=float("nan"))),
+        ("sim", dict(sample_period=float("nan"))),
+        ("sim", dict(sample_period=float("inf"))),
+        ("sim", dict(noise_std=-0.1)),
+        ("sim", dict(noise_std=float("nan"))),
+    ])
+    def test_degenerate_inputs_rejected(self, tx2, small_cnn, target,
+                                        kwargs):
+        """Inputs that used to hang the run, skip the CPU phase or be
+        silently reinterpreted raise at construction instead."""
+        with pytest.raises(ValueError):
+            if target == "job":
+                InferenceJob(graph=small_cnn, **kwargs)
+            else:
+                InferenceSimulator(tx2, **kwargs)
+
     def test_result_accounting(self, sim, job):
         r = sim.run([job], StaticGovernor())
         assert r.report.images == job.images
