@@ -40,10 +40,13 @@ from repro.serving import (
     DeviceConfig,
     Fleet,
     FleetScheduler,
+    PlanCache,
     SchedulerConfig,
     make_trace,
+    plan_cache_key,
 )
 from tests.conftest import build_small_cnn
+from tests.ledgerref import reference_ledger
 from tests.simref import ReferenceSimulator
 
 pytestmark = pytest.mark.perf
@@ -324,3 +327,65 @@ def test_serving_dispatch_fastpath(benchmark):
     _record_fastpath("serving_dispatch_fastpath", "preset dispatch",
                      len(jobs), ref_s, fast_s,
                      switch_count=fast.switch_count)
+
+
+@pytest.mark.benchmark(group="serving")
+def test_dispatch_invariants(benchmark):
+    """Per-dispatch plan-key lookup plus evaluator-backed ledger on a
+    warm device (key memo, block-sweep memo) vs the reference path —
+    ``plan_cache_key`` and a memo-free per-block sweep on a fresh
+    evaluator — over more (graph, sparsity) tables than the
+    profile-table LRU holds, as an adaptive family fleet sees:
+    byte-identical ledgers and >= 2x."""
+    platform = jetson_tx2()
+    batch, slack, block_size = 8, 0.25, 8
+    graphs = [RandomDNNGenerator(seed=s).generate() for s in range(4)]
+    sparsities = (0.0, 0.3, 0.6)
+    evaluator = AnalyticEvaluator(platform)
+    cache = PlanCache(evaluator, slack, block_size)
+    dispatches = []
+    for graph in graphs:
+        for sparsity in sparsities:
+            plan = cache.get_or_build(graph, batch, sparsity)
+            job = InferenceJob(graph=graph, batch_size=batch,
+                               sparsity=sparsity)
+            result = InferenceSimulator(platform, keep_samples=False).run(
+                [job], PresetGovernor([plan]))
+            dispatches.append((graph, sparsity, plan, result))
+
+    def fast_pass():
+        return [(cache.key_for(graph, batch, sparsity),
+                 EnergyLedger.from_result(
+                     result, plan=plan, graph=graph, evaluator=evaluator,
+                     batch_size=batch, latency_slack=slack,
+                     sparsity=sparsity).to_dict())
+                for graph, sparsity, plan, result in dispatches]
+
+    def reference_pass():
+        fresh = AnalyticEvaluator(platform)
+        return [(plan_cache_key(platform, graph, batch, slack, block_size,
+                                sparsity),
+                 reference_ledger(result, plan, graph, fresh, batch,
+                                  slack, sparsity=sparsity).to_dict())
+                for graph, sparsity, plan, result in dispatches]
+
+    def compare():
+        assert json.dumps(fast_pass()) == json.dumps(reference_pass())
+
+        def best_of_3(one_pass):
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.perf_counter()
+                for _ in range(SIM_RUNS):
+                    one_pass()
+                best = min(best, time.perf_counter() - t0)
+            return best
+
+        return best_of_3(reference_pass), best_of_3(fast_pass)
+
+    ref_s, fast_s = benchmark.pedantic(compare, rounds=1, iterations=1)
+    speedup = _record_fastpath("dispatch_invariants",
+                               "dispatch invariants", len(dispatches),
+                               ref_s, fast_s)
+    assert speedup >= 2.0, (
+        f"dispatch invariants regressed: {speedup:.2f}x < 2x")

@@ -86,6 +86,7 @@ class FrequencyPlan:
             raise ValueError("plan op indices must be non-negative")
         self._indices = indices
         self._levels = [s.level for s in self.steps]
+        self._level_range = (min(self._levels), max(self._levels))
         self._fingerprint: Optional[str] = None
 
     @property
@@ -113,9 +114,14 @@ class FrequencyPlan:
 
     def clamped(self, platform: PlatformSpec) -> "FrequencyPlan":
         """Copy of this plan with every level clamped to ``platform``'s
-        ladder; returns ``self`` when nothing needs clamping."""
-        if all(platform.clamp_level(s.level) == s.level
-               for s in self.steps):
+        ladder; returns ``self`` when nothing needs clamping.
+
+        The preset runtime re-installs every registered plan on each
+        run, so the common "already on the ladder" verdict is decided
+        from the level range recorded at construction, in O(1)."""
+        lowest, highest = self._level_range
+        if platform.clamp_level(lowest) == lowest \
+                and platform.clamp_level(highest) == highest:
             return self
         return FrequencyPlan(
             graph_name=self.graph_name,

@@ -28,7 +28,7 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,15 @@ from repro.hw.power import PowerModel
 #: Bounded size of the per-(fingerprint, batch, sparsity) profile-table
 #: LRU.
 PROFILE_TABLE_CACHE_SIZE = 8
+
+#: Bounds of the block-sweep memo (:meth:`AnalyticEvaluator.block_sweep`):
+#: table keys held by its LRU, and blocks held per table key.  A serving
+#: device's ledger sweeps span more tables than the profile-table LRU
+#: holds (every model at every sparsity bucket), so this LRU is sized
+#: for that working set; an entry is a level and one energy row per
+#: block, far smaller than a table.
+BLOCK_SWEEP_CACHE_SIZE = 64
+BLOCK_SWEEP_ENTRIES_PER_TABLE = 256
 
 
 @dataclass(frozen=True)
@@ -222,6 +231,9 @@ class AnalyticEvaluator:
         self._table_cache: \
             "OrderedDict[Tuple[str, int, float], ProfileTable]" \
             = OrderedDict()
+        self._sweep_cache: \
+            "OrderedDict[Tuple[str, int, float], Dict[tuple, tuple]]" \
+            = OrderedDict()
 
     # ------------------------------------------------------------------
     def profile(self, works: Sequence[OpWork],
@@ -392,6 +404,45 @@ class AnalyticEvaluator:
         return self.profile_table(
             graph, batch_size, sparsity).best_level_for_block(
             op_indices, latency_slack)
+
+    def block_sweep(self, graph: Graph, op_start: int, op_stop: int,
+                    batch_size: int = 1, latency_slack: float = 0.25,
+                    sparsity: float = 0.0) -> Tuple[int, np.ndarray]:
+        """``(best level, per-level energies)`` of the contiguous block
+        ``[op_start, op_stop)``: :meth:`best_level` of its
+        :meth:`block_profile`, memoized.
+
+        The memo is an LRU of :data:`BLOCK_SWEEP_CACHE_SIZE` table keys
+        ``(graph fingerprint, batch_size, sparsity)``, each holding up
+        to :data:`BLOCK_SWEEP_ENTRIES_PER_TABLE` entries keyed by
+        ``(op_start, op_stop, latency_slack)``.  It lives apart from the
+        profile-table LRU, so an entry outlives its table's eviction.
+        Every input of the sweep is in the key (the platform is fixed
+        per evaluator and the fingerprint hashes the graph's content),
+        so an entry cannot go stale.  The energies array is shared by
+        every caller and must not be written to.
+        """
+        table_key = (graph.fingerprint(), int(batch_size), float(sparsity))
+        entries = self._sweep_cache.get(table_key)
+        if entries is None:
+            entries = self._sweep_cache[table_key] = {}
+            while len(self._sweep_cache) > BLOCK_SWEEP_CACHE_SIZE:
+                self._sweep_cache.popitem(last=False)
+        else:
+            self._sweep_cache.move_to_end(table_key)
+        key = (int(op_start), int(op_stop), latency_slack)
+        hit = entries.get(key)
+        if hit is None:
+            profile = self.profile_table(
+                graph, batch_size, sparsity).block_profile(
+                range(op_start, op_stop))
+            profile.energies.setflags(write=False)
+            hit = (self.best_level(profile, latency_slack),
+                   profile.energies)
+            if len(entries) >= BLOCK_SWEEP_ENTRIES_PER_TABLE:
+                del entries[next(iter(entries))]
+            entries[key] = hit
+        return hit
 
     def plan_energy_time(self, graph: Graph,
                          blocks: Sequence[Sequence[int]],

@@ -78,6 +78,13 @@ from repro.obs.metrics import SWITCH_LATENCY_BUCKETS
 MAX_ACTUATIONS_PER_POINT = 8
 
 
+def op_works_key(graph: Graph) -> tuple:
+    """Key of ``graph``'s dense op walk (``LatencyModel.graph_work``) in
+    a simulator ``op_row_cache``; a caller that already holds the walk
+    may store it there under this key before the first run."""
+    return ("works", graph.fingerprint())
+
+
 @dataclass(frozen=True)
 class InferenceJob:
     """One inference task: ``n_batches`` batches of ``batch_size`` images
@@ -273,9 +280,10 @@ class InferenceSimulator:
             # carries it across simulator instances (the fleet builds a
             # fresh simulator per dispatch); sparse jobs rescale it.
             fp = job.graph.fingerprint()
-            works = self._op_row_cache.get(("works", fp))
+            works_key = op_works_key(job.graph)
+            works = self._op_row_cache.get(works_key)
             if works is None:
-                works = self._op_row_cache[("works", fp)] = \
+                works = self._op_row_cache[works_key] = \
                     self.latency.graph_work(job.graph)
             works = sparse_works(works, job.sparsity)
             # Op rows are keyed by graph fingerprint; a sparse job gets

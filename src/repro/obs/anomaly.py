@@ -200,9 +200,12 @@ class AnomalyDetector:
     # feed points (called by the simulator)
     # ------------------------------------------------------------------
     def reset(self, platform) -> None:
-        """Start of a run: clear all sliding state."""
-        self._platform = platform
-        self._power_bound = _max_platform_power(platform)
+        """Start of a run: clear all sliding state.  The power bound is
+        a pure function of the platform, so it is recomputed only when
+        the run's platform object differs from the previous run's."""
+        if platform is not self._platform:
+            self._platform = platform
+            self._power_bound = _max_platform_power(platform)
         self._regimes.clear()
         self._reversals.reset()
         self._stalls.clear()

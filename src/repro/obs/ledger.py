@@ -292,19 +292,24 @@ class EnergyLedger:
     def _analyze_mispredictions(self, graph, evaluator, batch_size,
                                 latency_slack, margin,
                                 sparsity: float = 0.0) -> None:
-        table = evaluator.profile_table(graph, batch_size, sparsity)
+        # Sweeps come from the evaluator's block-sweep memo: an adaptive
+        # fleet re-checks the same blocks on every job, across more
+        # (graph, batch, sparsity) tables than the profile-table LRU
+        # holds.
+        n_ops = len(graph.compute_nodes())
+        max_level = evaluator.platform.max_level
         for row in self.blocks:
-            ops = list(range(row.op_start, min(row.op_stop, table.n_ops)))
-            if not ops:
+            stop = min(row.op_stop, n_ops)
+            if stop <= row.op_start:
                 continue
-            profile = table.block_profile(ops)
-            best = evaluator.best_level(profile, latency_slack)
+            best, energies = evaluator.block_sweep(
+                graph, row.op_start, stop, batch_size, latency_slack,
+                sparsity)
             row.best_level = best
-            row.best_energy_j = float(profile.energies[best])
+            row.best_energy_j = float(energies[best])
             if row.planned_level is not None:
-                planned = min(max(row.planned_level, 0),
-                              table.n_levels - 1)
-                row.planned_energy_j = float(profile.energies[planned])
+                planned = min(max(row.planned_level, 0), max_level)
+                row.planned_energy_j = float(energies[planned])
                 row.mispredicted = (
                     best != planned
                     and row.predicted_savings_frac > margin)

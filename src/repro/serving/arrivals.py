@@ -49,6 +49,8 @@ class Request:
     ``[0, 1)`` (0.0 — the default — is dense and reproduces the
     pre-sparsity traces byte-for-byte).  ``slo_latency_s`` is the
     *relative* latency objective; ``math.inf`` means best-effort.
+    A non-finite arrival time or a NaN SLO is rejected: either would
+    carry ``NaN`` into the canonical event log, which is not JSON.
     """
 
     request_id: int
@@ -59,12 +61,15 @@ class Request:
     sparsity: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.t_arrival):
+            raise ValueError("arrival time must be finite")
         if self.t_arrival < 0:
             raise ValueError("arrival time cannot be negative")
         if self.images < 1:
             raise ValueError("a request needs at least one image")
-        if self.slo_latency_s <= 0:
-            raise ValueError("slo_latency_s must be positive")
+        if not self.slo_latency_s > 0:
+            raise ValueError("slo_latency_s must be positive (inf for "
+                             "best-effort)")
         if not 0.0 <= self.sparsity < 1.0:
             raise ValueError("sparsity must be in [0, 1)")
 

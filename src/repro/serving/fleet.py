@@ -55,7 +55,8 @@ from repro.governors.family import analytic_plan
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.faults import FaultProfile
 from repro.hw.platform import PlatformSpec, get_platform
-from repro.hw.simulator import InferenceJob, InferenceSimulator
+from repro.hw.simulator import InferenceJob, InferenceSimulator, \
+    op_works_key
 from repro.obs import Observability, NULL_TRACER
 from repro.obs.anomaly import AnomalyConfig, AnomalyDetector
 from repro.obs.ledger import EnergyLedger
@@ -95,7 +96,12 @@ def plan_cache_key(platform: PlatformSpec, graph: Graph,
                    batch_size: int, latency_slack: float,
                    block_size: int, sparsity: float = 0.0) -> str:
     """Content hash of everything a device's frequency plan depends on
-    (same recipe as :func:`repro.core.persistence.dataset_cache_key`)."""
+    (same recipe as :func:`repro.core.persistence.dataset_cache_key`).
+
+    This is the function of record for plan keys.  It serializes the
+    whole platform on every call (about a millisecond), so
+    :class:`PlanCache` memoizes its result per slot rather than calling
+    it on every dispatch."""
     payload = {
         "version": PLAN_CACHE_VERSION,
         "platform": dataclasses.asdict(platform),
@@ -122,6 +128,16 @@ class PlanCache:
     pre-warm many devices' caches in parallel (``n_jobs``) while each
     device's underlying :class:`AnalyticEvaluator` LRU stays
     single-threaded.
+
+    Keys are memoized per slot ``(graph fingerprint, batch size,
+    repr(sparsity))``.  The other key inputs — the evaluator's platform,
+    ``latency_slack`` and ``block_size`` — are fixed for the cache's
+    life, and the fingerprint is a content hash of the graph, so a memo
+    entry can never name a different key than :func:`plan_cache_key`
+    would.  The sparsity enters by ``repr``, the same text the key's
+    JSON carries, so ``0.0`` and ``-0.0`` keep their distinct keys.
+    The memo gains an entry only where :meth:`get_or_build` stores a
+    plan, so it holds exactly one key per cached plan.
     """
 
     def __init__(self, evaluator: AnalyticEvaluator,
@@ -133,10 +149,22 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self._plans: Dict[str, FrequencyPlan] = {}
+        self._keys: Dict[Tuple[str, int, str], str] = {}
         self._lock = threading.Lock()
+
+    @staticmethod
+    def _slot(graph: Graph, batch_size: int,
+              sparsity: float) -> Tuple[str, int, str]:
+        return (graph.fingerprint(), int(batch_size),
+                repr(float(sparsity)))
 
     def key_for(self, graph: Graph, batch_size: int,
                 sparsity: float = 0.0) -> str:
+        """:func:`plan_cache_key` of one slot, from the memo when the
+        slot's plan is cached."""
+        key = self._keys.get(self._slot(graph, batch_size, sparsity))
+        if key is not None:
+            return key
         return plan_cache_key(self.evaluator.platform, graph, batch_size,
                               self.latency_slack, self.block_size,
                               sparsity)
@@ -145,6 +173,7 @@ class PlanCache:
                      sparsity: float = 0.0) -> FrequencyPlan:
         key = self.key_for(graph, batch_size, sparsity)
         with self._lock:
+            self._keys[self._slot(graph, batch_size, sparsity)] = key
             plan = self._plans.get(key)
             if plan is not None:
                 self.hits += 1
@@ -332,12 +361,18 @@ class SimulatedDevice:
     def prewarm(self, graphs: Sequence[Graph], batch_sizes:
                 Sequence[int]) -> None:
         """Build every plan this device could need (pure, idempotent —
-        safe to run from a thread pool)."""
+        safe to run from a thread pool).
+
+        Also seeds the simulator's op-walk memo with the walk planning
+        just used, so the first dispatch of each model skips re-walking
+        its graph (the walk is a pure function of graph and platform)."""
         for graph in graphs:
             for batch in batch_sizes:
                 for edge in self.buckets.sparsity_edges:
                     self.plan_cache.get_or_build(graph, batch, edge)
                 self.predict(graph, batch)
+            self._op_row_cache[op_works_key(graph)] = \
+                self.evaluator.latency.graph_work(graph)
 
     def predict(self, graph: Graph,
                 batch_size: int) -> Tuple[float, float]:
