@@ -576,7 +576,7 @@ def _cmd_serve_sim(args, obs, trace_path: Optional[str],
                              queue_capacity=args.queue_capacity,
                              recovery=recovery)
 
-    # Observe-only passengers: the request tracer (sampled span trees
+    # Observe-only subscribers: the request tracer (sampled span trees
     # and the /requests SSE feed) and the burn-rate monitor.  Either
     # way the event log / report stay byte-identical.
     exporters = [s for s in (sinks or [])

@@ -9,9 +9,10 @@ too fast.  A single window either alerts late (long window) or flaps
 *both* to exceed the threshold gives quick detection with automatic
 reset once the bad fraction subsides.
 
-The monitor consumes the scheduler's request-terminal events in
-virtual time (``observe(t, ok)`` — completions carry their SLO
-verdict, every drop counts as bad) and is strictly observe-only: it
+The monitor subscribes to the scheduler's canonical record stream
+(:meth:`BurnRateMonitor.consume`) and reads its request-terminal
+records in virtual time — completions carry their SLO verdict, every
+drop counts as bad — and is strictly observe-only: it
 never touches an RNG or the scheduler's state, so enabling it cannot
 perturb the canonical event log (property-tested).  Alert episodes are
 recorded as ``slo_burn`` spans (start/end in virtual time, peak burns
@@ -136,6 +137,19 @@ class BurnRateMonitor:
         self._finalized = False
 
     # ------------------------------------------------------------------
+    def begin_run(self, policy: str, n_healthy: int) -> None:
+        """Subscriber protocol: the monitor needs nothing from the
+        run's start."""
+
+    def consume(self, record: Dict[str, Any], source: Any = None) -> None:
+        """Subscriber step: a ``complete`` record carries its SLO
+        verdict, every ``drop`` counts as bad; other records pass."""
+        kind = record["event"]
+        if kind == "complete":
+            self.observe(record["t"], record["slo_ok"])
+        elif kind == "drop":
+            self.observe(record["t"], False)
+
     def observe(self, t: float, ok: bool) -> None:
         """Record one request-terminal event at virtual time ``t``
         (``ok`` is the SLO verdict; drops pass ``False``)."""

@@ -6,10 +6,14 @@ complete record of the run: every admit/dispatch/complete/drop plus
 the recovery state machine's transitions, all in virtual time.  This
 module turns that log back into structure:
 
-* :class:`ServingTimeline` — per-request lifecycles (arrival → batch
-  ready → dispatch → terminal), per-device busy/probe intervals, the
-  queue-depth step function, and recovery transitions, reconstructed
-  purely from the log (no simulator state needed);
+* :class:`RequestLifecycles` — the one request-lifecycle
+  reconstruction (arrival → batch ready → dispatch → terminal), fed
+  one canonical record at a time.  :class:`ServingTimeline` replays a
+  finished log through it, and the serving request tracer feeds it
+  live, so both produce the same :class:`RequestTrace` rows;
+* :class:`ServingTimeline` — those rows plus per-device busy/probe
+  intervals, the queue-depth step function, and recovery transitions,
+  reconstructed purely from the log (no simulator state needed);
 * a **critical-path breakdown**: each completed request's latency is
   decomposed into ``queue`` (waiting while its batch accumulated),
   ``batch`` (formed batch waiting for a device) and ``service``
@@ -39,7 +43,8 @@ from typing import (Any, Dict, Iterable, List, Optional, Sequence,
 
 from repro.obs.metrics import nearest_rank_index
 
-__all__ = ["RequestRow", "DeviceTrack", "ServingTimeline",
+__all__ = ["RequestTrace", "RequestLifecycles", "OUTCOME_COMPLETED",
+           "DeviceTrack", "ServingTimeline",
            "read_event_log", "looks_like_event_log",
            "summarize_serving_events", "validate_chrome_trace"]
 
@@ -122,12 +127,28 @@ def summarize_serving_events(events: Sequence[Dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-@dataclass
-class RequestRow:
-    """One request's lifecycle reconstructed from the event log.
+OUTCOME_COMPLETED = "completed"
 
-    ``queue_s + batch_s + service_s == latency_s`` exactly (each is a
-    difference of the same four timestamps).
+
+@dataclass(frozen=True)
+class RequestTrace:
+    """One request's lifecycle (virtual timestamps) — the one row type
+    of both the timeline and the serving request tracer.
+
+    The three latency components partition ``[t_arrival, t_end]``:
+
+    * ``queue_s`` — admit until the last co-batched request arrived
+      (the request is queued while its batch accumulates);
+    * ``batch_s`` — formed batch waiting for a healthy idle device and
+      the policy's nod;
+    * ``service_s`` — dispatch to completion on the device.
+
+    For dropped requests the whole wait is ``queue_s`` and the other
+    components are zero, so ``queue_s + batch_s + service_s ==
+    latency_s`` holds for every outcome.  Rows rebuilt from a log leave
+    the fields the log does not carry (``slo_latency_s``, the ledger
+    share, plan and recovery attributes, a dropped request's sparsity
+    and a ``queue_full`` drop's images) at their defaults.
     """
 
     request_id: int
@@ -138,10 +159,23 @@ class RequestRow:
     t_dispatch: float
     t_end: float
     outcome: str
+    sparsity: float = 0.0
+    slo_latency_s: float = math.inf
     device: str = ""
-    slo_ok: bool = True
+    policy: str = ""
+    dispatch_seq: int = -1
+    batch_n_requests: int = 0
+    batch_request_ids: Tuple[int, ...] = ()
     energy_j: float = 0.0
+    ledger_energy_j: float = 0.0
+    sparsity_bucket: float = 0.0
+    plan_fingerprint: str = ""
+    recovery_state: str = ""
+    new_anomalies: int = 0
+    slo_ok: bool = True
     cause: str = ""
+    recovery_stall_s: float = 0.0
+    sampled_head: bool = True
 
     @property
     def latency_s(self) -> float:
@@ -161,7 +195,89 @@ class RequestRow:
 
     @property
     def completed(self) -> bool:
-        return self.outcome == "completed"
+        return self.outcome == OUTCOME_COMPLETED
+
+    @property
+    def anomalous(self) -> bool:
+        """True for every tail-sampled condition: a drop, an SLO
+        violation or a job that raised anomalies."""
+        return (self.outcome != OUTCOME_COMPLETED or not self.slo_ok
+                or self.new_anomalies > 0)
+
+
+class RequestLifecycles:
+    """The one request-lifecycle reconstruction, fed one canonical
+    record at a time.
+
+    :meth:`feed` applies a record and, when the record ends a request
+    (``complete`` or ``drop``), returns that request's finished
+    :class:`RequestTrace` fields.  ``admit`` opens a row, ``dispatch``
+    stamps the batch onto its rows (batch ready = the last co-batched
+    arrival), and ``dispatch``/``probe`` records count off the
+    scheduler's dispatch sequence.  ``extra`` fields are merged into
+    the rows the record touches: the serving request tracer passes the
+    values the log does not carry there.
+    """
+
+    def __init__(self) -> None:
+        #: Fields of admitted requests not yet at a terminal event.
+        self.open: Dict[int, Dict[str, Any]] = {}
+        self._jobs = 0
+
+    def feed(self, record: Dict[str, Any], **extra: Any
+             ) -> Optional[Dict[str, Any]]:
+        kind = record["event"]
+        t = float(record["t"])
+        if kind == "admit":
+            rid = int(record["request_id"])
+            self.open[rid] = {
+                "request_id": rid, "model": str(record.get("model", "")),
+                "images": int(record.get("images", 0)), "t_arrival": t,
+                **extra}
+        elif kind == "dispatch":
+            ids = [int(i) for i in record.get("request_ids", [])]
+            rows = [self.open[rid] for rid in ids if rid in self.open]
+            batch = {"t_batch_ready": max((r["t_arrival"] for r in rows),
+                                          default=t),
+                     "t_dispatch": t, "device": str(record["device"]),
+                     "dispatch_seq": self._jobs,
+                     "batch_n_requests": int(record.get("n_requests",
+                                                        len(ids))),
+                     "batch_request_ids": tuple(ids), **extra}
+            if "sparsity" in record:
+                batch["sparsity"] = record["sparsity"]
+            for row in rows:
+                row.update(batch)
+            self._jobs += 1
+        elif kind == "probe":
+            self._jobs += 1
+        elif kind == "complete":
+            row = self._close(record, t)
+            row.setdefault("t_batch_ready", row["t_arrival"])
+            row.setdefault("t_dispatch", t)
+            row.setdefault("device", str(record.get("device", "")))
+            row.update(t_end=t, outcome=OUTCOME_COMPLETED,
+                       energy_j=float(record.get("energy", 0.0)),
+                       slo_ok=bool(record.get("slo_ok", True)), **extra)
+            return row
+        elif kind == "drop":
+            row = self._close(record, t)
+            row.update(t_batch_ready=t, t_dispatch=t, t_end=t,
+                       outcome=str(record.get("reason", "unknown")),
+                       slo_ok=False, cause=str(record.get("cause", "")),
+                       **extra)
+            return row
+        return None
+
+    def _close(self, record: Dict[str, Any], t: float) -> Dict[str, Any]:
+        """Pop the record's open row; a request the log never admitted
+        (a ``queue_full`` drop) starts and ends at ``t``."""
+        rid = int(record["request_id"])
+        row = self.open.pop(rid, None)
+        if row is None:
+            row = {"request_id": rid, "model": str(record.get("model", "")),
+                   "images": 0, "t_arrival": t}
+        return row
 
 
 @dataclass
@@ -183,7 +299,7 @@ class ServingTimeline:
     """Structured view of one serving run (see module docstring)."""
 
     def __init__(self) -> None:
-        self.requests: Dict[int, RequestRow] = {}
+        self.requests: Dict[int, RequestTrace] = {}
         self.devices: Dict[str, DeviceTrack] = {}
         self.queue_depth: List[Tuple[float, int]] = []
         self.burn_spans: List[Tuple[float, float, Dict[str, Any]]] = []
@@ -197,8 +313,7 @@ class ServingTimeline:
         """Rebuild the run's structure from its event log."""
         tl = cls()
         tl.n_events = len(events)
-        arrivals: Dict[int, Tuple[float, str, int]] = {}
-        dispatched: Dict[int, Tuple[float, float, str]] = {}
+        lifecycles = RequestLifecycles()
         depth = 0
 
         def device_track(name: str) -> DeviceTrack:
@@ -208,64 +323,33 @@ class ServingTimeline:
                 tl.devices[name] = track
             return track
 
-        def note_depth(t: float) -> None:
-            tl.queue_depth.append((t, depth))
-
         for event in events:
             kind = event["event"]
             t = float(event["t"])
             tl.makespan_s = max(tl.makespan_s, t)
-            if kind == "admit":
-                rid = int(event["request_id"])
-                arrivals[rid] = (t, str(event.get("model", "")),
-                                 int(event.get("images", 0)))
+            if kind == "drop" and event.get("reason") != "queue_full" \
+                    and int(event["request_id"]) in lifecycles.open:
+                depth -= 1
+                tl.queue_depth.append((t, depth))
+            row = lifecycles.feed(event)
+            if row is not None:
+                tl.requests[row["request_id"]] = RequestTrace(**row)
+            elif kind == "admit":
                 depth += 1
-                note_depth(t)
+                tl.queue_depth.append((t, depth))
             elif kind == "dispatch":
-                name = str(event["device"])
-                ids = [int(i) for i in event.get("request_ids", [])]
-                t_done = float(event.get("predicted_done", t))
-                t_ready = max(
-                    (arrivals[i][0] for i in ids if i in arrivals),
-                    default=t)
-                for rid in ids:
-                    dispatched[rid] = (t, t_ready, name)
+                n_ids = len(event.get("request_ids", []))
                 label = (f"{event.get('model', 'job')}"
                          f"x{event.get('images', '?')}"
-                         f" ({event.get('n_requests', len(ids))} req)")
-                device_track(name).jobs.append((t, t_done, label))
-                depth -= len(ids)
-                note_depth(t)
-            elif kind == "complete":
-                rid = int(event["request_id"])
-                t_arr, model, images = arrivals.get(rid, (t, "", 0))
-                t_disp, t_ready, device = dispatched.get(
-                    rid, (t, t_arr, str(event.get("device", ""))))
-                tl.requests[rid] = RequestRow(
-                    request_id=rid, model=model, images=images,
-                    t_arrival=t_arr, t_batch_ready=t_ready,
-                    t_dispatch=t_disp, t_end=t, outcome="completed",
-                    device=device or str(event.get("device", "")),
-                    slo_ok=bool(event.get("slo_ok", True)),
-                    energy_j=float(event.get("energy", 0.0)))
-            elif kind == "drop":
-                rid = int(event["request_id"])
-                reason = str(event.get("reason", "unknown"))
-                known = rid in arrivals
-                t_arr, model, images = arrivals.get(
-                    rid, (t, str(event.get("model", "")), 0))
-                tl.requests[rid] = RequestRow(
-                    request_id=rid, model=model, images=images,
-                    t_arrival=t_arr, t_batch_ready=t, t_dispatch=t,
-                    t_end=t, outcome=reason, slo_ok=False,
-                    cause=str(event.get("cause", "")))
-                if known and reason != "queue_full":
-                    depth -= 1
-                    note_depth(t)
+                         f" ({event.get('n_requests', n_ids)} req)")
+                device_track(str(event["device"])).jobs.append(
+                    (t, float(event.get("predicted_done", t)), label))
+                depth -= n_ids
+                tl.queue_depth.append((t, depth))
             elif kind == "probe":
-                name = str(event["device"])
                 duration = float(event.get("duration", 0.0))
-                device_track(name).probes.append((t, t + duration))
+                device_track(str(event["device"])).probes.append(
+                    (t, t + duration))
                 tl.makespan_s = max(tl.makespan_s, t + duration)
             elif kind in _DEVICE_MARKERS:
                 device_track(str(event["device"])).markers.append(
@@ -404,7 +488,7 @@ class ServingTimeline:
     # ------------------------------------------------------------------
     # critical-path analysis
     # ------------------------------------------------------------------
-    def critical_path_rows(self) -> List[RequestRow]:
+    def critical_path_rows(self) -> List[RequestTrace]:
         """Completed requests, slowest first (ties by id)."""
         rows = [r for r in self.requests.values() if r.completed]
         rows.sort(key=lambda r: (-r.latency_s, r.request_id))

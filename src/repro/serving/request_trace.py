@@ -1,23 +1,26 @@
 """Request-lifecycle tracing for the fleet serving simulator.
 
 The serving event log says *what* happened; this module says *where
-each request's latency went*.  A :class:`RequestTracer` rides the
-scheduler's event loop as a strictly observe-only passenger: the
-scheduler calls it at admission, dispatch, completion and every drop,
-all in **virtual time**, and the tracer assembles one span tree per
-request::
+each request's latency went*.  A :class:`RequestTracer` subscribes to
+the scheduler's canonical record stream as a strictly observe-only
+reader, all in **virtual time**, and feeds every record to the one
+lifecycle builder, :class:`~repro.obs.timeline.RequestLifecycles` —
+the same code ``powerlens timeline`` rebuilds a log with.  Each
+finished request becomes one span tree::
 
     request                          (admit .. terminal)
       queued                         (admit .. last co-batched arrival)
       batched                        (batch formed .. dispatch)
       dispatched                     (dispatch .. completion)
 
-with attributes for the device id, queueing-policy decision, sparsity
-bucket, plan-family member (the executed plan's fingerprint), the
-device's recovery state at dispatch, and the request's even share of
-the dispatch :class:`~repro.obs.ledger.EnergyLedger` joules.  Dropped
-requests carry a single ``queued`` child ending at the drop, and
-``queue_full`` rejections are zero-length roots.
+The tracer adds what the log does not carry, read from the objects the
+scheduler publishes beside each record: the executed plan's
+fingerprint, the sparsity bucket, the request's even share of the
+dispatch :class:`~repro.obs.ledger.EnergyLedger` joules, the job's new
+anomalies, the device's recovery state at dispatch, and a dropped
+request's images, sparsity and SLO.  Dropped requests carry a single
+``queued`` child ending at the drop, and ``queue_full`` rejections are
+zero-length roots.
 
 Because every timestamp is the scheduler's virtual clock and every
 attribute is a value the scheduler already computed, tracing cannot
@@ -46,21 +49,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.serving.arrivals import Request
+from repro.obs.timeline import (OUTCOME_COMPLETED, RequestLifecycles,
+                                RequestTrace)
 
 __all__ = ["SamplingConfig", "RequestTrace", "RequestTracer",
            "head_sample_keep", "OUTCOME_COMPLETED"]
 
-OUTCOME_COMPLETED = "completed"
-
-#: Terminal outcomes that tail sampling always keeps (plus SLO
-#: violations and anomaly-flagged completions).
-_TAIL_OUTCOMES = ("expired", "unserviceable", "queue_full")
+#: Healthy-device count change carried by each fleet-health record.
+_HEALTH_STEP = {"drain": -1, "redrain": -1, "readmit": 1}
 
 
 def head_sample_keep(seed: int, request_id: int, rate: float) -> bool:
@@ -98,163 +99,92 @@ class SamplingConfig:
             raise ValueError("head_rate must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class RequestTrace:
-    """One request's reconstructed lifecycle (virtual timestamps).
+def request_record(trace: RequestTrace) -> Dict[str, Any]:
+    """Flat completion/drop record (the ``/requests`` SSE feed)."""
+    record: Dict[str, Any] = {
+        "type": "request",
+        "request_id": trace.request_id,
+        "model": trace.model,
+        "images": trace.images,
+        "outcome": trace.outcome,
+        "t_arrival": trace.t_arrival,
+        "t_end": trace.t_end,
+        "latency_s": trace.latency_s,
+        "queue_s": trace.queue_s,
+        "batch_s": trace.batch_s,
+        "service_s": trace.service_s,
+        "slo_ok": trace.slo_ok,
+    }
+    if trace.device:
+        record["device"] = trace.device
+        record["energy_j"] = trace.energy_j
+        record["ledger_energy_j"] = trace.ledger_energy_j
+    if trace.cause:
+        record["cause"] = trace.cause
+    if trace.sparsity > 0.0:
+        record["sparsity"] = trace.sparsity
+    if trace.recovery_stall_s > 0.0:
+        record["recovery_stall_s"] = trace.recovery_stall_s
+    return record
 
-    The three latency components partition ``[t_arrival, t_end]``:
 
-    * ``queue_s`` — admit until the last co-batched request arrived
-      (the request is queued while its batch accumulates);
-    * ``batch_s`` — formed batch waiting for a healthy idle device and
-      the policy's nod;
-    * ``service_s`` — dispatch to completion on the device.
-
-    For dropped requests the whole wait is ``queue_s`` and the other
-    components are zero, so the identity ``queue_s + batch_s +
-    service_s == latency_s`` holds for every outcome.
-    """
-
-    request_id: int
-    model: str
-    images: int
-    sparsity: float
-    slo_latency_s: float
-    t_arrival: float
-    t_batch_ready: float
-    t_dispatch: float
-    t_end: float
-    outcome: str
-    device: str = ""
-    policy: str = ""
-    dispatch_seq: int = -1
-    batch_n_requests: int = 0
-    batch_request_ids: Tuple[int, ...] = ()
-    energy_j: float = 0.0
-    ledger_energy_j: float = 0.0
-    sparsity_bucket: float = 0.0
-    plan_fingerprint: str = ""
-    recovery_state: str = ""
-    new_anomalies: int = 0
-    slo_ok: bool = True
-    cause: str = ""
-    recovery_stall_s: float = 0.0
-    sampled_head: bool = True
-
-    # -- latency decomposition -----------------------------------------
-    @property
-    def latency_s(self) -> float:
-        return self.t_end - self.t_arrival
-
-    @property
-    def queue_s(self) -> float:
-        return self.t_batch_ready - self.t_arrival
-
-    @property
-    def batch_s(self) -> float:
-        return self.t_dispatch - self.t_batch_ready
-
-    @property
-    def service_s(self) -> float:
-        return self.t_end - self.t_dispatch
-
-    @property
-    def completed(self) -> bool:
-        return self.outcome == OUTCOME_COMPLETED
-
-    @property
-    def anomalous(self) -> bool:
-        """True for every tail-sampled condition."""
-        return (self.outcome != OUTCOME_COMPLETED or not self.slo_ok
-                or self.new_anomalies > 0)
-
-    # -- export --------------------------------------------------------
-    def to_record(self) -> Dict[str, Any]:
-        """Flat completion/drop record (the ``/requests`` SSE feed)."""
-        record: Dict[str, Any] = {
-            "type": "request",
-            "request_id": self.request_id,
-            "model": self.model,
-            "images": self.images,
-            "outcome": self.outcome,
-            "t_arrival": self.t_arrival,
-            "t_end": self.t_end,
-            "latency_s": self.latency_s,
-            "queue_s": self.queue_s,
-            "batch_s": self.batch_s,
-            "service_s": self.service_s,
-            "slo_ok": self.slo_ok,
-        }
-        if self.device:
-            record["device"] = self.device
-            record["energy_j"] = self.energy_j
-            record["ledger_energy_j"] = self.ledger_energy_j
-        if self.cause:
-            record["cause"] = self.cause
-        if self.sparsity > 0.0:
-            record["sparsity"] = self.sparsity
-        if self.recovery_stall_s > 0.0:
-            record["recovery_stall_s"] = self.recovery_stall_s
-        return record
-
-    def span_records(self, next_id: int) -> List[Dict[str, Any]]:
-        """The span tree as JSONL records (ids from ``next_id`` up),
-        compatible with :func:`repro.obs.replay.read_trace`."""
-        root_attrs: Dict[str, Any] = {
-            "request_id": self.request_id,
-            "model": self.model,
-            "images": self.images,
-            "outcome": self.outcome,
-            "policy": self.policy,
-            "slo_ok": self.slo_ok,
-        }
-        if math.isfinite(self.slo_latency_s):
-            root_attrs["slo_latency_s"] = self.slo_latency_s
-        if self.sparsity > 0.0:
-            root_attrs["sparsity"] = self.sparsity
-        if self.cause:
-            root_attrs["cause"] = self.cause
-        if not self.sampled_head:
-            root_attrs["tail_sampled"] = True
-        records = [_span(next_id, None, "request", self.t_arrival,
-                         self.t_end, root_attrs)]
-        root_id = next_id
-        next_id += 1
-        if self.outcome == "queue_full":
-            return records
-        queued_attrs: Dict[str, Any] = {"queue_s": self.queue_s}
-        if self.recovery_stall_s > 0.0:
-            queued_attrs["recovery_stall_s"] = self.recovery_stall_s
-        records.append(_span(next_id, root_id, "queued", self.t_arrival,
-                             self.t_batch_ready, queued_attrs))
-        next_id += 1
-        if not self.completed:
-            return records
-        records.append(_span(
-            next_id, root_id, "batched", self.t_batch_ready,
-            self.t_dispatch,
-            {"batch_s": self.batch_s,
-             "n_requests": self.batch_n_requests,
-             "request_ids": list(self.batch_request_ids)}))
-        next_id += 1
-        dispatched_attrs: Dict[str, Any] = {
-            "service_s": self.service_s,
-            "device": self.device,
-            "dispatch_seq": self.dispatch_seq,
-            "energy_j": self.energy_j,
-            "ledger_energy_j": self.ledger_energy_j,
-            "recovery_state": self.recovery_state,
-        }
-        if self.plan_fingerprint:
-            dispatched_attrs["plan"] = self.plan_fingerprint
-        if self.sparsity_bucket > 0.0:
-            dispatched_attrs["sparsity_bucket"] = self.sparsity_bucket
-        if self.new_anomalies:
-            dispatched_attrs["new_anomalies"] = self.new_anomalies
-        records.append(_span(next_id, root_id, "dispatched",
-                             self.t_dispatch, self.t_end,
-                             dispatched_attrs))
+def span_records(trace: RequestTrace, next_id: int) -> List[Dict[str, Any]]:
+    """``trace``'s span tree as JSONL records (ids from ``next_id``
+    up), compatible with :func:`repro.obs.replay.read_trace`."""
+    root_attrs: Dict[str, Any] = {
+        "request_id": trace.request_id,
+        "model": trace.model,
+        "images": trace.images,
+        "outcome": trace.outcome,
+        "policy": trace.policy,
+        "slo_ok": trace.slo_ok,
+    }
+    if math.isfinite(trace.slo_latency_s):
+        root_attrs["slo_latency_s"] = trace.slo_latency_s
+    if trace.sparsity > 0.0:
+        root_attrs["sparsity"] = trace.sparsity
+    if trace.cause:
+        root_attrs["cause"] = trace.cause
+    if not trace.sampled_head:
+        root_attrs["tail_sampled"] = True
+    records = [_span(next_id, None, "request", trace.t_arrival,
+                     trace.t_end, root_attrs)]
+    root_id = next_id
+    next_id += 1
+    if trace.outcome == "queue_full":
         return records
+    queued_attrs: Dict[str, Any] = {"queue_s": trace.queue_s}
+    if trace.recovery_stall_s > 0.0:
+        queued_attrs["recovery_stall_s"] = trace.recovery_stall_s
+    records.append(_span(next_id, root_id, "queued", trace.t_arrival,
+                         trace.t_batch_ready, queued_attrs))
+    next_id += 1
+    if not trace.completed:
+        return records
+    records.append(_span(
+        next_id, root_id, "batched", trace.t_batch_ready,
+        trace.t_dispatch,
+        {"batch_s": trace.batch_s,
+         "n_requests": trace.batch_n_requests,
+         "request_ids": list(trace.batch_request_ids)}))
+    next_id += 1
+    dispatched_attrs: Dict[str, Any] = {
+        "service_s": trace.service_s,
+        "device": trace.device,
+        "dispatch_seq": trace.dispatch_seq,
+        "energy_j": trace.energy_j,
+        "ledger_energy_j": trace.ledger_energy_j,
+        "recovery_state": trace.recovery_state,
+    }
+    if trace.plan_fingerprint:
+        dispatched_attrs["plan"] = trace.plan_fingerprint
+    if trace.sparsity_bucket > 0.0:
+        dispatched_attrs["sparsity_bucket"] = trace.sparsity_bucket
+    if trace.new_anomalies:
+        dispatched_attrs["new_anomalies"] = trace.new_anomalies
+    records.append(_span(next_id, root_id, "dispatched",
+                         trace.t_dispatch, trace.t_end, dispatched_attrs))
+    return records
 
 
 def _span(span_id: int, parent_id: Optional[int], name: str,
@@ -265,33 +195,15 @@ def _span(span_id: int, parent_id: Optional[int], name: str,
             "attrs": attrs}
 
 
-@dataclass
-class _Pending:
-    """Mutable in-flight state between admit and the terminal event."""
-
-    request: Request
-    t_arrival: float
-    t_batch_ready: float = 0.0
-    t_dispatch: float = 0.0
-    device: str = ""
-    dispatch_seq: int = -1
-    batch_n_requests: int = 0
-    batch_request_ids: Tuple[int, ...] = ()
-    ledger_share_j: float = 0.0
-    sparsity_bucket: float = 0.0
-    plan_fingerprint: str = ""
-    recovery_state: str = ""
-    new_anomalies: int = 0
-
-
 class RequestTracer:
     """Observe-only request-lifecycle recorder (see module docstring).
 
-    The scheduler drives it through the ``on_*`` hooks; only requests
-    that survive sampling are materialized as :class:`RequestTrace`
-    objects (in-flight state is O(queue depth), not O(trace length)).
-    ``completion_records`` is the append-only list the
-    ``/requests`` SSE endpoint tails.
+    A subscriber of :meth:`~repro.serving.scheduler.FleetScheduler.run`:
+    :meth:`consume` receives every canonical record with the scheduler
+    object it came from.  Only requests that survive sampling are
+    materialized as :class:`RequestTrace` rows (in-flight state is
+    O(queue depth), not O(trace length)).  ``completion_records`` is
+    the append-only list the ``/requests`` SSE endpoint tails.
     """
 
     def __init__(self, sampling: Optional[SamplingConfig] = None) -> None:
@@ -301,144 +213,90 @@ class RequestTracer:
         self.sampled_head_count = 0
         self.sampled_tail_count = 0
         self.completion_records: List[Dict[str, Any]] = []
-        self._pending: Dict[int, _Pending] = {}
+        self._lifecycles = RequestLifecycles()
         self._traces: List[RequestTrace] = []
+        self._n_healthy = 0
         self._dead_intervals: List[Tuple[float, float]] = []
         self._dead_since: Optional[float] = None
         self._finalized = False
-        self._t_end = 0.0
 
     # ------------------------------------------------------------------
-    # scheduler hooks (virtual time; all strictly observe-only)
+    # subscriber protocol (virtual time; strictly observe-only)
     # ------------------------------------------------------------------
     def begin_run(self, policy: str, n_healthy: int) -> None:
         self.policy = policy
+        self._n_healthy = n_healthy
         self._dead_since = 0.0 if n_healthy == 0 else None
 
-    def note_fleet_health(self, t: float, n_healthy: int) -> None:
-        """Track intervals with zero healthy devices — the recovery
-        stall attributed to requests queued across them."""
-        if n_healthy == 0:
-            if self._dead_since is None:
-                self._dead_since = t
-        elif self._dead_since is not None:
-            self._dead_intervals.append((self._dead_since, t))
-            self._dead_since = None
-
-    def on_admit(self, t: float, request: Request) -> None:
-        self.requests_seen += 1
-        self._pending[request.request_id] = _Pending(request, t)
-
-    def on_dispatch(self, t: float, batch: Sequence[Request],
-                    device: Any, record: Any, seq: int) -> None:
-        t_ready = max(r.t_arrival for r in batch)
-        ids = tuple(r.request_id for r in batch)
-        ledger_share = record.ledger_energy_j / len(batch)
-        for request in batch:
-            pending = self._pending.get(request.request_id)
-            if pending is None:
-                continue
-            pending.t_batch_ready = t_ready
-            pending.t_dispatch = t
-            pending.device = device.name
-            pending.dispatch_seq = seq
-            pending.batch_n_requests = len(batch)
-            pending.batch_request_ids = ids
-            pending.ledger_share_j = ledger_share
-            pending.sparsity_bucket = device.sparsity_bucket(
-                request.sparsity)
-            pending.plan_fingerprint = record.plan_fingerprint
-            pending.recovery_state = device.recovery_state
-            pending.new_anomalies = record.new_anomalies
-
-    def on_complete(self, t: float, outcome: Any) -> None:
-        """``outcome`` is the scheduler's
-        :class:`~repro.serving.slo_report.RequestOutcome`."""
-        pending = self._pending.pop(outcome.request_id, None)
-        if pending is None:
-            return
-        self._finalize_request(RequestTrace(
-            request_id=outcome.request_id,
-            model=outcome.model,
-            images=outcome.images,
-            sparsity=pending.request.sparsity,
-            slo_latency_s=outcome.slo_latency_s,
-            t_arrival=pending.t_arrival,
-            t_batch_ready=pending.t_batch_ready,
-            t_dispatch=pending.t_dispatch,
-            t_end=t,
-            outcome=OUTCOME_COMPLETED,
-            device=outcome.device,
-            policy=self.policy,
-            dispatch_seq=pending.dispatch_seq,
-            batch_n_requests=pending.batch_n_requests,
-            batch_request_ids=pending.batch_request_ids,
-            energy_j=outcome.energy_j,
-            ledger_energy_j=pending.ledger_share_j,
-            sparsity_bucket=pending.sparsity_bucket,
-            plan_fingerprint=pending.plan_fingerprint,
-            recovery_state=pending.recovery_state,
-            new_anomalies=pending.new_anomalies,
-            slo_ok=outcome.slo_ok,
-            recovery_stall_s=self._stall(pending.t_arrival,
-                                         pending.t_dispatch),
-        ))
-
-    def on_drop(self, t: float, request: Request, reason: str,
-                cause: Optional[str] = None) -> None:
-        pending = self._pending.pop(request.request_id, None)
-        if pending is None:
-            # ``queue_full`` rejections never entered the queue.
+    def consume(self, record: Dict[str, Any], source: Any) -> None:
+        """Feed one canonical record to the lifecycle builder, adding
+        what the log does not carry from ``source``: the
+        :class:`~repro.serving.arrivals.Request` of an admit or drop,
+        the dispatched job (batch, :class:`~repro.serving.fleet.\
+DispatchRecord`, device) of a dispatch."""
+        kind = record["event"]
+        extra: Dict[str, Any] = {}
+        if kind == "admit" or (kind == "drop"
+                               and record["reason"] == "queue_full"):
             self.requests_seen += 1
-            t_arrival = request.t_arrival
-        else:
-            t_arrival = pending.t_arrival
-        self._finalize_request(RequestTrace(
-            request_id=request.request_id,
-            model=request.model,
-            images=request.images,
-            sparsity=request.sparsity,
-            slo_latency_s=request.slo_latency_s,
-            t_arrival=t_arrival,
-            t_batch_ready=t,
-            t_dispatch=t,
-            t_end=t,
-            outcome=reason,
-            policy=self.policy,
-            slo_ok=False,
-            cause=cause or "",
-            recovery_stall_s=(self._stall(t_arrival, t)
-                              if pending is not None else 0.0),
-        ))
+            extra = {"sparsity": source.sparsity,
+                     "slo_latency_s": source.slo_latency_s}
+            if kind == "drop":
+                extra["images"] = source.images
+        elif kind == "dispatch":
+            job = source.record
+            extra = {"ledger_energy_j": (job.ledger_energy_j
+                                         / len(source.batch)),
+                     "sparsity_bucket": job.sparsity_bucket,
+                     "plan_fingerprint": job.plan_fingerprint,
+                     "recovery_state": source.device.recovery_state,
+                     "new_anomalies": job.new_anomalies}
+        elif kind in _HEALTH_STEP:
+            self._note_fleet_health(record["t"], _HEALTH_STEP[kind])
+        row = self._lifecycles.feed(record, **extra)
+        if row is not None:
+            self._finalize_request(row)
 
     def finalize(self, t_end: float) -> None:
         """Close the run at virtual ``t_end`` (idempotent)."""
         if self._finalized:
             return
         self._finalized = True
-        self._t_end = t_end
         if self._dead_since is not None:
             self._dead_intervals.append((self._dead_since, t_end))
+            self._dead_since = None
+
+    def _note_fleet_health(self, t: float, step: int) -> None:
+        """Track intervals with zero healthy devices — the recovery
+        stall attributed to requests queued across them."""
+        self._n_healthy += step
+        if self._n_healthy == 0:
+            if self._dead_since is None:
+                self._dead_since = t
+        elif self._dead_since is not None:
+            self._dead_intervals.append((self._dead_since, t))
             self._dead_since = None
 
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------
-    def _finalize_request(self, trace: RequestTrace) -> None:
+    def _finalize_request(self, row: Dict[str, Any]) -> None:
         cfg = self.sampling
-        head = head_sample_keep(cfg.seed, trace.request_id,
+        head = head_sample_keep(cfg.seed, row["request_id"],
                                 cfg.head_rate)
-        tail = cfg.keep_tail and trace.anomalous
-        if not head and not tail:
+        trace = RequestTrace(
+            policy=self.policy, sampled_head=head,
+            recovery_stall_s=self._stall(row["t_arrival"],
+                                         row["t_dispatch"]),
+            **row)
+        if not head and not (cfg.keep_tail and trace.anomalous):
             return
         if head:
             self.sampled_head_count += 1
         else:
-            trace = RequestTrace(
-                **{**_trace_fields(trace), "sampled_head": False})
             self.sampled_tail_count += 1
         self._traces.append(trace)
-        self.completion_records.append(trace.to_record())
+        self.completion_records.append(request_record(trace))
 
     def _stall(self, t_from: float, t_to: float) -> float:
         """Overlap of ``[t_from, t_to]`` with zero-healthy intervals."""
@@ -485,7 +343,7 @@ class RequestTracer:
         next_id = 1
         for trace in sorted(self._traces,
                             key=lambda tr: tr.request_id):
-            spans = trace.span_records(next_id)
+            spans = span_records(trace, next_id)
             next_id += len(spans)
             records.extend(spans)
         return records
@@ -520,9 +378,3 @@ class RequestTracer:
                   for rec in records + burn_records]
         path.write_text("\n".join(lines) + "\n")
         return path
-
-
-def _trace_fields(trace: RequestTrace) -> Dict[str, Any]:
-    """Dataclass fields of ``trace`` as kwargs (frozen → rebuild)."""
-    return {name: getattr(trace, name)
-            for name in trace.__dataclass_fields__}

@@ -15,7 +15,10 @@ governors × policies × fault profiles × recovery configs ×
 * **exact decomposition** — ``queue_s + batch_s + service_s`` equals
   the end-to-end latency within 1e-9 for every outcome;
 * **replayable export** — ``export_jsonl`` files parse with
-  :func:`repro.obs.replay.read_trace` with zero malformed lines.
+  :func:`repro.obs.replay.read_trace` with zero malformed lines;
+* **one reconstruction** — the tracer's live rows and the rows
+  :class:`~repro.obs.timeline.ServingTimeline` rebuilds from the event
+  log agree on every field the log carries.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro.hw.faults import FaultProfile
 from repro.obs.burnrate import BurnRateConfig, BurnRateMonitor
 from repro.obs.replay import read_trace, span_tree
+from repro.obs.timeline import ServingTimeline
 from repro.serving import (
     DeviceConfig,
     Fleet,
@@ -57,14 +61,16 @@ def _run(seed: int, policy: str = "fifo", governor: str = "powerlens",
          slo: float = math.inf, faults: FaultProfile = None,
          recovery: RecoveryConfig = None, n_jobs: int = 1,
          queue_capacity: int = 64, sampling: SamplingConfig = None,
-         traced: bool = True, burn: BurnRateConfig = None):
+         traced: bool = True, burn: BurnRateConfig = None,
+         sparsities=None):
     fleet = Fleet.build([DeviceConfig("tx2-0", "tx2"),
                          DeviceConfig("agx-1", "agx")],
                         governor=governor, fleet_seed=seed,
                         faults=faults)
     fleet.add_graph(build_small_cnn(MODEL))
     trace = make_trace("poisson", rate_rps=rate, duration_s=duration,
-                       models=[MODEL], seed=seed, slo_latency_s=slo)
+                       models=[MODEL], seed=seed, slo_latency_s=slo,
+                       sparsity_choices=sparsities)
     tracer = RequestTracer(sampling) if traced else None
     monitor = (BurnRateMonitor(burn or BurnRateConfig(
         fast_window_s=0.1, slow_window_s=0.4)) if traced else None)
@@ -298,3 +304,40 @@ class TestExport:
         assert len(burn_spans) == monitor.alert_count
         for span in burn_spans:
             assert span["attrs"]["peak_fast_burn"] >= 0
+
+
+# ----------------------------------------------------------------------
+# one reconstruction: live rows == rows rebuilt from the event log
+# ----------------------------------------------------------------------
+#: Row fields the event log carries, so both readers fill them.
+_LOGGED_FIELDS = ("request_id", "model", "images", "t_arrival",
+                  "t_batch_ready", "t_dispatch", "t_end", "outcome",
+                  "device", "dispatch_seq", "batch_n_requests",
+                  "batch_request_ids", "energy_j", "slo_ok", "cause")
+
+
+class TestOneReconstruction:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=_SEEDS, policy=_POLICIES, storm=st.booleans(),
+           recovery_on=st.booleans(), sparse=st.booleans())
+    def test_live_rows_match_rows_rebuilt_from_the_log(
+            self, seed, policy, storm, recovery_on, sparse):
+        result = _run(
+            seed, policy=policy, rate=60.0, duration=1.0, slo=0.5,
+            queue_capacity=8,
+            faults=FaultProfile(seed=seed, **STORM) if storm else None,
+            recovery=(RecoveryConfig(cooldown_s=0.05, max_cooldown_s=0.4)
+                      if recovery_on else None),
+            sparsities=(0.2, 0.5) if sparse else None)
+        live = {t.request_id: t for t in result.request_tracer.traces()}
+        rebuilt = ServingTimeline.from_events(result.events).requests
+        assert sorted(live) == sorted(rebuilt)
+        assert len(live) == result.report.arrived
+        for rid, row in rebuilt.items():
+            trace = live[rid]
+            for name in _LOGGED_FIELDS:
+                if name == "images" and row.outcome == "queue_full":
+                    continue  # the drop record does not carry images
+                assert getattr(trace, name) == getattr(row, name), name
+            if row.completed:  # dispatch records carry the sparsity
+                assert trace.sparsity == row.sparsity
