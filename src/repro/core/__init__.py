@@ -56,7 +56,7 @@ from repro.core.clustering import (
 from repro.core.power_view import PowerBlock, PowerView
 from repro.core.schemes import ClusteringScheme, default_scheme_grid
 from repro.core.labeling import (
-    block_optimal_level,
+    plan_levels_for_blocks,
     scheme_quality,
     best_scheme_for_graph,
     label_network,
@@ -102,7 +102,7 @@ __all__ = [
     "PowerView",
     "ClusteringScheme",
     "default_scheme_grid",
-    "block_optimal_level",
+    "plan_levels_for_blocks",
     "scheme_quality",
     "best_scheme_for_graph",
     "label_network",

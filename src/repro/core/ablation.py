@@ -15,11 +15,11 @@
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.features import GlobalFeatureExtractor
 from repro.core.pipeline import PowerLens
-from repro.governors.preset import FrequencyPlan, PlanStep
+from repro.governors.family import FrequencyPlan, merge_equal_levels
 from repro.graph import Graph
 
 
@@ -71,13 +71,9 @@ def random_partition_plan(lens: PowerLens, graph: Graph,
     for group, level in zip(groups, levels):
         for op in group:
             level_of_op[op] = level
-    steps: List[PlanStep] = []
-    prev: Optional[int] = None
-    for op, level in enumerate(level_of_op):
-        if prev is None or level != prev:
-            steps.append(PlanStep(op_index=op, level=level))
-        prev = level
-    return FrequencyPlan(graph_name=graph.name, steps=steps)
+    runs, run_levels = merge_equal_levels([[op] for op in range(n_ops)],
+                                          level_of_op)
+    return FrequencyPlan.from_blocks(graph, runs, run_levels)
 
 
 def no_clustering_plan(lens: PowerLens, graph: Graph) -> FrequencyPlan:
@@ -87,5 +83,5 @@ def no_clustering_plan(lens: PowerLens, graph: Graph) -> FrequencyPlan:
     extractor = GlobalFeatureExtractor()
     features = extractor.extract(graph).vector
     level = lens.decision_model.predict_levels(features[None, :])[0]
-    return FrequencyPlan(graph_name=graph.name,
-                         steps=[PlanStep(op_index=0, level=level)])
+    return FrequencyPlan.from_blocks(
+        graph, [range(len(graph.compute_nodes()))], [level])

@@ -2,9 +2,12 @@
 
 Two exhaustive-sweep oracles:
 
-* :func:`block_optimal_level` — "each block in the power view is
+* :func:`plan_levels_for_blocks` — "each block in the power view is
   deployed at all frequencies to select the data that achieves the
-  optimal energy efficiency" (Dataset B labels);
+  optimal energy efficiency" (Dataset B labels), one
+  :meth:`~repro.hw.analytic.AnalyticEvaluator.best_level_for_block`
+  sweep per block.  It is also the oracle planner's level rule
+  (``PowerLens.oracle_plan``);
 * :func:`scheme_quality` / :func:`best_scheme_for_graph` — evaluate a
   clustering scheme by the end-to-end energy efficiency of its view
   when every block runs at its optimal level (Dataset A labels).
@@ -55,24 +58,14 @@ from repro.obs.tracing import NULL_TRACER, Tracer
 STAGE_NAMES = ("distance", "cluster", "evaluate")
 
 
-def block_optimal_level(evaluator: AnalyticEvaluator, graph: Graph,
-                        op_indices: Sequence[int], batch_size: int = 16,
-                        latency_slack: float = 0.25) -> int:
-    """Exhaustive sweep of one block over every DVFS level; returns the
-    EE-optimal level under the latency-slack constraint."""
-    return evaluator.best_level_for_block(
-        graph, op_indices, batch_size=batch_size,
-        latency_slack=latency_slack)
-
-
 def plan_levels_for_blocks(evaluator: AnalyticEvaluator, graph: Graph,
                            blocks: Sequence[Sequence[int]],
                            batch_size: int = 16,
                            latency_slack: float = 0.25) -> List[int]:
-    """Optimal level for every block of a view."""
+    """Exhaustive-sweep optimal level for every block of a view."""
     return [
-        block_optimal_level(evaluator, graph, block, batch_size,
-                            latency_slack)
+        evaluator.best_level_for_block(graph, block, batch_size=batch_size,
+                                       latency_slack=latency_slack)
         for block in blocks
     ]
 

@@ -21,8 +21,9 @@ Table-3 breakdown.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, ContextManager, List, Optional, Sequence
 
 from repro.core.clustering import cluster_power_blocks
 from repro.core.datasets import (
@@ -39,7 +40,8 @@ from repro.core.overhead import OverheadReport, StageTimer
 from repro.core.power_view import PowerView
 from repro.core.predictors import DecisionModel, FitReport, HyperparamPredictor
 from repro.core.schemes import ClusteringScheme, default_scheme_grid
-from repro.governors.preset import FrequencyPlan, PlanStep, PresetGovernor
+from repro.governors.family import FrequencyPlan, post_process
+from repro.governors.preset import PresetGovernor
 from repro.graph import Graph
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.faults import FaultProfile
@@ -95,6 +97,15 @@ class PowerLensPlan:
     levels: List[int]
     plan: FrequencyPlan
 
+    @classmethod
+    def build(cls, graph: Graph, view: PowerView,
+              levels: List[int]) -> "PowerLensPlan":
+        """The result for ``view`` at ``levels``: one plan step per
+        block."""
+        return cls(view=view, levels=levels,
+                   plan=FrequencyPlan.from_blocks(
+                       graph, [b.op_indices for b in view.blocks], levels))
+
     @property
     def n_blocks(self) -> int:
         return self.view.n_blocks
@@ -148,68 +159,6 @@ class TrainingSummary:
             f"within-2 {d.within_2_accuracy:.1%} "
             f"({d.epochs} epochs, {d.wall_time_s:.1f}s)"
         )
-
-
-def _fuse_near_level_blocks(graph: Graph, view: PowerView,
-                            levels: List[int], extractor,
-                            repredict, threshold: int = 1) -> tuple:
-    """Fuse chains of adjacent blocks whose target levels differ by at
-    most ``threshold``, then re-decide each fused block's level.
-
-    This is the paper's cluster post-processing ("adjusting size, shape,
-    or membership of clusters"): near-equal decisions on neighbouring
-    blocks are within the decision model's known +-1-level error band,
-    so the fragmentation is noise, not signal — fusing removes spurious
-    instrumentation points at negligible energy cost.
-    """
-    if len(levels) <= 1:
-        return view, levels
-    groups: List[List[int]] = []
-    group_levels: List[int] = []
-    for block, level in zip(view.blocks, levels):
-        if group_levels and abs(group_levels[-1] - level) <= threshold:
-            groups[-1].extend(block.op_indices)
-            # Track a running representative level for chain fusion.
-            group_levels[-1] = level
-        else:
-            groups.append(list(block.op_indices))
-            group_levels.append(level)
-    if len(groups) == len(view.blocks):
-        return view, levels
-    fused = PowerView.from_blocks(graph, groups, eps=view.eps,
-                                  min_pts=view.min_pts,
-                                  extractor=extractor)
-    new_levels = list(repredict(fused))
-    if len(new_levels) != fused.n_blocks:
-        raise RuntimeError("repredict returned wrong number of levels")
-    return fused, new_levels
-
-
-def _merge_equal_level_blocks(graph: Graph, view: PowerView,
-                              levels: List[int],
-                              extractor) -> tuple:
-    """Fuse adjacent power blocks that received the same target level.
-
-    An instrumentation point between two blocks at the same frequency is
-    a no-op, so the *effective* power view — and the block counts the
-    paper reports — is the fused one.
-    """
-    if len(levels) <= 1:
-        return view, levels
-    merged_groups: List[List[int]] = []
-    merged_levels: List[int] = []
-    for block, level in zip(view.blocks, levels):
-        if merged_levels and merged_levels[-1] == level:
-            merged_groups[-1].extend(block.op_indices)
-        else:
-            merged_groups.append(list(block.op_indices))
-            merged_levels.append(level)
-    if len(merged_groups) == len(view.blocks):
-        return view, levels
-    fused = PowerView.from_blocks(graph, merged_groups, eps=view.eps,
-                                  min_pts=view.min_pts,
-                                  extractor=extractor)
-    return fused, merged_levels
 
 
 class PowerLens:
@@ -348,23 +297,45 @@ class PowerLens:
             view = PowerView.from_blocks(graph, blocks, eps=scheme.eps,
                                          min_pts=scheme.min_pts,
                                          extractor=self.global_)
-        with self.overhead.stage("decision of each block"):
-            levels = self.decision_model.predict_levels(
-                view.feature_matrix())
-            view, levels = _fuse_near_level_blocks(
-                graph, view, levels, self.global_,
-                repredict=lambda v: self.decision_model.predict_levels(
-                    v.feature_matrix()))
-        view, levels = _merge_equal_level_blocks(graph, view, levels,
-                                                 self.global_)
+        view, levels = self._post_process(
+            graph, view,
+            lambda v: self.decision_model.predict_levels(
+                v.feature_matrix()),
+            stage=self.overhead.stage("decision of each block"))
         view, levels = self._guard_against_collapse(graph, view, levels)
-        plan = FrequencyPlan(
-            graph_name=graph.name,
-            steps=[PlanStep(op_index=b.start, level=lvl)
-                   for b, lvl in zip(view.blocks, levels)],
-            graph_fingerprint=graph.fingerprint(),
-        )
-        return PowerLensPlan(view=view, levels=levels, plan=plan)
+        return PowerLensPlan.build(graph, view, levels)
+
+    def _view(self, graph: Graph, groups: Sequence[Sequence[int]],
+              like: PowerView) -> PowerView:
+        """Power view of ``groups`` with ``like``'s clustering scheme."""
+        return PowerView.from_blocks(graph, groups, eps=like.eps,
+                                     min_pts=like.min_pts,
+                                     extractor=self.global_)
+
+    def _post_process(self, graph: Graph, view: PowerView,
+                      decide: Callable[[PowerView], List[int]],
+                      stage: ContextManager = nullcontext()) -> tuple:
+        """Decide a level per block of ``view`` and post-process the
+        decisions (fuse, re-decide, merge; see
+        :func:`~repro.governors.family.post_process`), both inside
+        ``stage``; returns the final view and its levels.
+
+        A view is built only for a partition that changed: the fused
+        one, which ``decide`` reads, and the merged one when merging
+        coarsened the fused one further."""
+        views = [view]
+
+        def redecide(groups):
+            views.append(self._view(graph, groups, view))
+            return decide(views[-1])
+
+        with stage:
+            levels = decide(view)
+            groups, levels = post_process(
+                [b.op_indices for b in view.blocks], levels, redecide)
+        if views[-1].n_blocks != len(groups):
+            views.append(self._view(graph, groups, view))
+        return views[-1], levels
 
     def _guard_against_collapse(self, graph: Graph, view: PowerView,
                                 levels: List[int]) -> tuple:
@@ -389,9 +360,7 @@ class PowerLens:
         e_single, _t = self.evaluator.plan_energy_time(
             graph, [list(range(n_ops))], [single_level], cfg.batch_size)
         if e_single < e_multi * 1.02:
-            collapsed = PowerView.from_blocks(
-                graph, [list(range(n_ops))], eps=view.eps,
-                min_pts=view.min_pts, extractor=self.global_)
+            collapsed = self._view(graph, [list(range(n_ops))], view)
             return collapsed, [single_level]
         return view, levels
 
@@ -405,25 +374,13 @@ class PowerLens:
             batch_size=cfg.batch_size, latency_slack=cfg.latency_slack,
             alpha=cfg.alpha, lam=cfg.lam)
         view = PowerView.from_blocks(graph, blocks, extractor=self.global_)
-        levels = plan_levels_for_blocks(
-            self.evaluator, graph, blocks, batch_size=cfg.batch_size,
-            latency_slack=cfg.latency_slack)
-        view, levels = _fuse_near_level_blocks(
-            graph, view, levels, self.global_,
-            repredict=lambda v: plan_levels_for_blocks(
-                self.evaluator, graph,
-                [list(b.op_indices) for b in v.blocks],
+        view, levels = self._post_process(
+            graph, view,
+            lambda v: plan_levels_for_blocks(
+                self.evaluator, graph, [b.op_indices for b in v.blocks],
                 batch_size=cfg.batch_size,
                 latency_slack=cfg.latency_slack))
-        view, levels = _merge_equal_level_blocks(graph, view, levels,
-                                                 self.global_)
-        plan = FrequencyPlan(
-            graph_name=graph.name,
-            steps=[PlanStep(op_index=b.start, level=lvl)
-                   for b, lvl in zip(view.blocks, levels)],
-            graph_fingerprint=graph.fingerprint(),
-        )
-        return PowerLensPlan(view=view, levels=levels, plan=plan)
+        return PowerLensPlan.build(graph, view, levels)
 
     def governor(self, graphs: Sequence[Graph],
                  oracle: bool = False,

@@ -14,12 +14,10 @@
   ``replan=`` (:class:`ReplanPolicy`) corrects plans between jobs from
   ledger feedback, with rollback, writing each correction back into
   the slot (graph plus bucket) of the job that produced it.
-* :class:`OracleGovernor` — exhaustive per-block optimum, the upper
-  bound used to sanity-check the decision model.
 
-``AdaptivePresetGovernor``, ``PlanFamilyGovernor`` and
-``AdaptivePlanFamilyGovernor`` are historical names of those
-combinations; each returns a :class:`PresetGovernor`.
+The oracle runtime is ``PowerLens.governor(oracle=True)``
+(:mod:`repro.core.pipeline`): a :class:`PresetGovernor` carrying
+exhaustive-sweep plans.
 """
 
 from repro.governors.base import (
@@ -39,27 +37,14 @@ from repro.governors.family import (
     analytic_plan,
     build_plan_family,
 )
-from repro.governors.preset import (
-    PlanFamilyGovernor,
-    PresetGovernor,
-    RuntimeHealth,
-)
-from repro.governors.oracle import OracleGovernor
-from repro.governors.adaptive import (
-    AdaptivePlanFamilyGovernor,
-    AdaptivePresetGovernor,
-    ReplanHealth,
-    ReplanPolicy,
-)
+from repro.governors.preset import PresetGovernor, RuntimeHealth
+from repro.governors.adaptive import ReplanHealth, ReplanPolicy
 
 __all__ = [
-    "AdaptivePresetGovernor",
     "ReplanHealth",
     "ReplanPolicy",
-    "AdaptivePlanFamilyGovernor",
     "FeatureBuckets",
     "PlanFamily",
-    "PlanFamilyGovernor",
     "analytic_plan",
     "build_plan_family",
     "Governor",
@@ -75,5 +60,4 @@ __all__ = [
     "FrequencyPlan",
     "PlanStep",
     "RuntimeHealth",
-    "OracleGovernor",
 ]

@@ -43,15 +43,13 @@ to the static one (property-tested).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.governors.family import FrequencyPlan, PlanFamily, PlanStep
-from repro.governors.preset import PresetGovernor
+from repro.governors.family import FrequencyPlan, PlanStep
 from repro.hw.analytic import AnalyticEvaluator
 from repro.obs import Observability, NULL_OBS
 
-__all__ = ["ReplanHealth", "ReplanPolicy", "AdaptivePresetGovernor",
-           "AdaptivePlanFamilyGovernor"]
+__all__ = ["ReplanHealth", "ReplanPolicy"]
 
 
 @dataclass
@@ -281,9 +279,7 @@ class ReplanPolicy:
         energy without blowing the latency guard."""
         table = self.evaluator.profile_table(graph, int(batch_size),
                                              float(sparsity))
-        starts = [s.op_index for s in plan.steps] + [table.n_ops]
-        blocks = [list(range(starts[i], starts[i + 1]))
-                  for i in range(len(plan.steps))]
+        blocks = plan.op_blocks(table.n_ops)
         clamp = table.n_levels - 1
         cur = [min(max(s.level, 0), clamp) for s in plan.steps]
         new = [min(max(s.level, 0), clamp) for s in candidate.steps]
@@ -294,39 +290,3 @@ class ReplanPolicy:
         improves = e_new <= e_cur * (1.0 - self.min_improvement_frac)
         fits = t_new <= t_cur * (1.0 + self.max_slowdown_frac)
         return improves and fits
-
-
-# ----------------------------------------------------------------------
-# historical names: the runtime with a replan policy attached
-# ----------------------------------------------------------------------
-#: Constructor keywords the historical names route to the policy.
-_POLICY_KNOBS = ("max_nudge", "min_improvement_frac", "max_slowdown_frac",
-                 "regression_tolerance", "cooldown_jobs", "obs")
-
-
-def _replanning(evaluator: AnalyticEvaluator,
-                kwargs: Dict[str, object]) -> PresetGovernor:
-    """The runtime with a policy; runtime counters share its metrics."""
-    policy = ReplanPolicy(evaluator, **{
-        k: kwargs.pop(k) for k in _POLICY_KNOBS if k in kwargs})
-    return PresetGovernor(replan=policy, metrics=policy.obs.metrics,
-                          **kwargs)
-
-
-def AdaptivePresetGovernor(plans: Sequence[FrequencyPlan],
-                           evaluator: AnalyticEvaluator,
-                           name: str = "powerlens-adaptive",
-                           **kwargs: object) -> PresetGovernor:
-    """Historical name of ``PresetGovernor(plans,
-    replan=ReplanPolicy(evaluator, ...))``."""
-    return _replanning(evaluator, dict(kwargs, plans=plans, name=name))
-
-
-def AdaptivePlanFamilyGovernor(families: Sequence[PlanFamily],
-                               evaluator: AnalyticEvaluator,
-                               name: str = "powerlens-family-adaptive",
-                               **kwargs: object) -> PresetGovernor:
-    """Historical name of ``PresetGovernor(families=...,
-    replan=ReplanPolicy(evaluator, ...))``."""
-    return _replanning(evaluator,
-                       dict(kwargs, families=families, name=name))

@@ -38,14 +38,19 @@ import statistics
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.graph import Graph
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.platform import PlatformSpec
 
 __all__ = ["PlanStep", "FrequencyPlan", "FeatureBuckets", "PlanFamily",
+           "merge_equal_levels", "post_process",
            "analytic_plan", "build_plan_family"]
+
+#: Contiguous operator groups, in execution order.
+Groups = List[List[int]]
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,28 @@ class FrequencyPlan:
         self._levels = [s.level for s in self.steps]
         self._level_range = (min(self._levels), max(self._levels))
         self._fingerprint: Optional[str] = None
+
+    @classmethod
+    def from_blocks(cls, graph: Graph, blocks: Sequence[Sequence[int]],
+                    levels: Sequence[int]) -> "FrequencyPlan":
+        """The plan that retargets to ``levels[i]`` as contiguous block
+        ``blocks[i]`` starts; name and fingerprint come from ``graph``,
+        so a plan built here is always checked against the graph it
+        runs on.  :meth:`op_blocks` is the inverse."""
+        if len(blocks) != len(levels):
+            raise ValueError("one level per block required")
+        return cls(graph_name=graph.name,
+                   steps=[PlanStep(block[0], level)
+                          for block, level in zip(blocks, levels)],
+                   graph_fingerprint=graph.fingerprint())
+
+    def op_blocks(self, n_ops: int) -> List[range]:
+        """The plan's operator blocks on a graph of ``n_ops`` operators:
+        each step's range up to the next step (the last one up to
+        ``n_ops``)."""
+        stops = self._indices[1:] + [n_ops]
+        return [range(start, stop)
+                for start, stop in zip(self._indices, stops)]
 
     @property
     def n_blocks(self) -> int:
@@ -153,6 +180,64 @@ class FrequencyPlan:
 Bucket = Tuple[int, int]
 
 
+#: Neighbouring blocks whose levels differ by at most this many steps
+#: are fused by :func:`post_process`: the decision model's known
+#: +-1-level error band.
+FUSE_THRESHOLD = 1
+
+
+def _chain(groups: Sequence[Sequence[int]], levels: Sequence[int],
+           threshold: int) -> Tuple[Groups, List[int]]:
+    """Fuse chains of neighbouring groups whose levels differ by at most
+    ``threshold`` from the previous group's level; each fused group
+    keeps the level of its last member."""
+    fused: Groups = []
+    fused_levels: List[int] = []
+    for group, level in zip(groups, levels):
+        if fused_levels and abs(fused_levels[-1] - level) <= threshold:
+            fused[-1].extend(group)
+            fused_levels[-1] = level
+        else:
+            fused.append(list(group))
+            fused_levels.append(level)
+    return fused, fused_levels
+
+
+def merge_equal_levels(groups: Sequence[Sequence[int]],
+                       levels: Sequence[int]) -> Tuple[Groups, List[int]]:
+    """Merge neighbouring groups that run at the same level: the
+    instrumentation point between them would be a no-op."""
+    return _chain(groups, levels, 0)
+
+
+def post_process(groups: Sequence[Sequence[int]], levels: Sequence[int],
+                 redecide: Callable[[Groups], Sequence[int]]
+                 ) -> Tuple[Sequence[Sequence[int]], Sequence[int]]:
+    """The paper's cluster post-processing ("adjusting size, shape, or
+    membership of clusters", step 2 of its workflow).
+
+    Near-equal decisions on neighbouring blocks fall within the decision
+    model's +-1-level error band, so that fragmentation is noise, not
+    signal.  Three steps remove it:
+
+    1. chain-fuse neighbours whose levels differ by at most
+       :data:`FUSE_THRESHOLD`;
+    2. re-decide the fused groups once: ``redecide(groups)`` returns one
+       level per group;
+    3. merge neighbours that now share a level.
+
+    When step 1 fuses nothing, no two neighbours share a level either,
+    and ``(groups, levels)`` come back unchanged (the same objects).
+    """
+    fused, _ = _chain(groups, levels, FUSE_THRESHOLD)
+    if len(fused) == len(groups):
+        return groups, levels
+    new_levels = list(redecide(fused))
+    if len(new_levels) != len(fused):
+        raise RuntimeError("redecide returned wrong number of levels")
+    return merge_equal_levels(fused, new_levels)
+
+
 def analytic_plan(evaluator: AnalyticEvaluator, graph: Graph,
                   batch_size: int, latency_slack: float = 0.25,
                   block_size: int = 8,
@@ -165,19 +250,18 @@ def analytic_plan(evaluator: AnalyticEvaluator, graph: Graph,
     :class:`~repro.hw.analytic.ProfileTable` query per block) to run at
     admission without a fitted lens.  ``sparsity`` plans against the
     activation-sparsity-rescaled workload (0.0 reproduces the
-    pre-sparsity plans bit for bit).
+    pre-sparsity plans bit for bit).  It does not post-process: every
+    block keeps its own step.
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
     table = evaluator.profile_table(graph, batch_size, sparsity)
-    steps = [
-        PlanStep(start, table.best_level_for_block(
-            range(start, min(start + block_size, table.n_ops)),
-            latency_slack))
-        for start in range(0, table.n_ops, block_size)
-    ]
-    return FrequencyPlan(graph_name=graph.name, steps=steps,
-                         graph_fingerprint=graph.fingerprint())
+    blocks = [range(start, min(start + block_size, table.n_ops))
+              for start in range(0, table.n_ops, block_size)]
+    return FrequencyPlan.from_blocks(
+        graph, blocks,
+        [table.best_level_for_block(block, latency_slack)
+         for block in blocks])
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ instrumentation points are preset *before* each power block, each
 carrying the block's target level, so the frequency is already correct
 when the block's first kernel launches — no reactive lag and no
 ping-pong.  The plans themselves are produced offline by
-:class:`repro.core.pipeline.PowerLens` (or by the oracle / ablations /
-the closed-form :func:`~repro.governors.family.analytic_plan`).
+:class:`repro.core.pipeline.PowerLens` (its analyze and oracle plans,
+the ablations) or by the closed-form
+:func:`~repro.governors.family.analytic_plan`.
 
 Plan selection and replanning: the governor holds plans and plan
 families (:class:`~repro.governors.family.PlanFamily`; a bare plan is a
@@ -56,7 +57,7 @@ if TYPE_CHECKING:
     from repro.governors.adaptive import ReplanHealth, ReplanPolicy
 
 __all__ = ["FrequencyPlan", "PlanStep", "RuntimeHealth",
-           "PresetGovernor", "PlanFamilyGovernor"]
+           "PresetGovernor"]
 
 #: A plan slot: graph name plus the ``(batch, sparsity)`` grid point of
 #: the family bucket a job falls in.
@@ -513,10 +514,3 @@ class PresetGovernor(Governor):
                     else self._active.safe_level())
             return self._request(safe, retries=0)
         return None
-
-
-def PlanFamilyGovernor(families: Sequence[PlanFamily],
-                       name: str = "powerlens-family",
-                       **kwargs: object) -> PresetGovernor:
-    """Historical name of ``PresetGovernor(families=...)``."""
-    return PresetGovernor(families=families, name=name, **kwargs)

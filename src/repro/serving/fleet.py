@@ -271,7 +271,6 @@ class SimulatedDevice:
                  fleet_seed: int = 0,
                  faults: Optional[FaultProfile] = None,
                  anomaly_config: Optional[AnomalyConfig] = None,
-                 latency_slack: float = 0.25, block_size: int = 8,
                  unhealthy_after: int = 1,
                  sparsity_edges: Sequence[float] = (0.0,)) -> None:
         if governor not in SERVING_GOVERNORS:
@@ -303,8 +302,7 @@ class SimulatedDevice:
         if governor not in FAMILY_GOVERNORS:
             self.buckets = FeatureBuckets((1,))
         self.evaluator = AnalyticEvaluator(self.platform)
-        self.plan_cache = PlanCache(self.evaluator, latency_slack,
-                                    block_size)
+        self.plan_cache = PlanCache(self.evaluator)
         # Per-device metrics, merged fleet-wide after the run; the
         # tracer stays off (span timing would not be deterministic).
         self.obs = Observability(tracer=NULL_TRACER,
@@ -389,11 +387,8 @@ class SimulatedDevice:
             return cached
         plan = self.plan_cache.get_or_build(graph, batch_size)
         table = self.evaluator.profile_table(graph, batch_size)
-        starts = [s.op_index for s in plan.steps] + [table.n_ops]
-        blocks = [list(range(starts[i], starts[i + 1]))
-                  for i in range(len(plan.steps))]
         energy, time = table.plan_energy_time(
-            blocks, [s.level for s in plan.steps])
+            plan.op_blocks(table.n_ops), [s.level for s in plan.steps])
         self._predictions[key] = (time, energy)
         return time, energy
 
@@ -559,13 +554,12 @@ class Fleet:
               fleet_seed: int = 0,
               faults: Optional[FaultProfile] = None,
               anomaly_config: Optional[AnomalyConfig] = None,
-              latency_slack: float = 0.25, block_size: int = 8,
               unhealthy_after: int = 1,
               sparsity_edges: Sequence[float] = (0.0,)) -> "Fleet":
         return cls([
             SimulatedDevice(cfg, governor, fleet_seed, faults,
-                            anomaly_config, latency_slack, block_size,
-                            unhealthy_after, sparsity_edges)
+                            anomaly_config, unhealthy_after,
+                            sparsity_edges)
             for cfg in configs
         ])
 

@@ -92,14 +92,15 @@ def tiny_platform() -> PlatformSpec:
     )
 
 
-def build_small_cnn(name: str = "small_cnn") -> Graph:
+def build_small_cnn(name: str = "small_cnn", width: int = 16) -> Graph:
     """A small but structurally interesting CNN: conv stage, residual
-    stage, classifier head."""
+    stage, classifier head.  ``width`` scales the convolutions without
+    changing the operator sequence."""
     b = GraphBuilder(name)
     x = b.input((3, 32, 32))
-    x = b.conv_bn_act(x, 16, kernel=3, stride=1, padding=1)
-    x = b.conv_bn_act(x, 32, kernel=3, stride=2, padding=1)
-    y = b.conv_bn_act(x, 32, kernel=3, stride=1, padding=1)
+    x = b.conv_bn_act(x, width, kernel=3, stride=1, padding=1)
+    x = b.conv_bn_act(x, 2 * width, kernel=3, stride=2, padding=1)
+    y = b.conv_bn_act(x, 2 * width, kernel=3, stride=1, padding=1)
     x = b.add([x, y])
     x = b.relu(x)
     x = b.adaptive_avgpool(x, 1)

@@ -6,7 +6,6 @@ import pytest
 from repro.core.features import DepthwiseFeatureExtractor
 from repro.core.labeling import (
     best_scheme_for_graph,
-    block_optimal_level,
     plan_levels_for_blocks,
     scheme_quality,
 )
@@ -50,16 +49,16 @@ class TestBlockLabeling:
     def test_block_optimal_level_in_range(self, evaluator, small_cnn,
                                           tx2):
         n = len(small_cnn.compute_nodes())
-        lvl = block_optimal_level(evaluator, small_cnn, range(n),
-                                  batch_size=8)
+        lvl = evaluator.best_level_for_block(small_cnn, range(n),
+                                             batch_size=8)
         assert 0 <= lvl <= tx2.max_level
 
     def test_optimal_below_max(self, evaluator, small_cnn):
         """The whole point of the paper: the EE-optimal level sits below
         the maximum frequency."""
         n = len(small_cnn.compute_nodes())
-        lvl = block_optimal_level(evaluator, small_cnn, range(n),
-                                  batch_size=8)
+        lvl = evaluator.best_level_for_block(small_cnn, range(n),
+                                             batch_size=8)
         assert lvl < evaluator.platform.max_level
 
     def test_plan_levels_one_per_block(self, evaluator, small_cnn):

@@ -1,4 +1,5 @@
-"""AdaptivePresetGovernor: the closed replanning loop, unit-level.
+"""PresetGovernor with a ReplanPolicy: the closed replanning loop,
+unit-level.
 
 The contract under test (see ``repro.governors.adaptive``):
 
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.adaptive import build_drift_net
-from repro.governors import AdaptivePresetGovernor, PresetGovernor
+from repro.governors import PresetGovernor, ReplanPolicy
 from repro.governors.adaptive import _Trial
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.platform import get_platform
@@ -53,8 +54,9 @@ def _plan(graph, batch):
 def _adaptive(graph, batch=BUILD_BATCH, **kwargs):
     obs = Observability(tracer=NULL_TRACER, metrics=MetricsRegistry())
     kwargs.setdefault("obs", obs)
-    return AdaptivePresetGovernor([_plan(graph, batch)], EVALUATOR,
-                                  resilient=True, **kwargs)
+    policy = ReplanPolicy(EVALUATOR, **kwargs)
+    return PresetGovernor([_plan(graph, batch)], resilient=True,
+                          replan=policy, metrics=policy.obs.metrics)
 
 
 def _run_job(gov, graph, batch, seed=0):
@@ -215,9 +217,9 @@ class TestReplanCounters:
         graph = _drift_graph()
         obs = Observability(tracer=NULL_TRACER,
                             metrics=MetricsRegistry())
-        gov = AdaptivePresetGovernor([_plan(graph, BUILD_BATCH)],
-                                     EVALUATOR, obs=obs,
-                                     resilient=True)
+        policy = ReplanPolicy(EVALUATOR, obs=obs)
+        gov = PresetGovernor([_plan(graph, BUILD_BATCH)], resilient=True,
+                             replan=policy, metrics=policy.obs.metrics)
         for j in range(4):
             _, ledger = _run_job(gov, graph, DRIFT_BATCH, seed=j)
             gov.observe_job(graph, DRIFT_BATCH, ledger)
@@ -232,12 +234,14 @@ class TestReplanCounters:
         graph = _drift_graph()
         plans = [_plan(graph, BUILD_BATCH)]
         with pytest.raises(ValueError):
-            AdaptivePresetGovernor(plans, EVALUATOR, max_nudge=0)
+            PresetGovernor(plans, replan=ReplanPolicy(EVALUATOR,
+                                                      max_nudge=0))
         with pytest.raises(ValueError):
-            AdaptivePresetGovernor(plans, EVALUATOR,
-                                   min_improvement_frac=1.0)
+            PresetGovernor(plans, replan=ReplanPolicy(
+                EVALUATOR, min_improvement_frac=1.0))
         with pytest.raises(ValueError):
-            AdaptivePresetGovernor(plans, EVALUATOR, cooldown_jobs=-1)
+            PresetGovernor(plans, replan=ReplanPolicy(EVALUATOR,
+                                                      cooldown_jobs=-1))
 
 
 # ----------------------------------------------------------------------

@@ -26,12 +26,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.adaptive import build_drift_net
 from repro.governors import (
-    AdaptivePlanFamilyGovernor,
-    AdaptivePresetGovernor,
     FeatureBuckets,
     PlanFamily,
-    PlanFamilyGovernor,
     PresetGovernor,
+    ReplanPolicy,
     analytic_plan,
     build_plan_family,
 )
@@ -166,7 +164,7 @@ class TestSizeOneIdentity:
         assert fam.size == 1
         plan = fam.members[(0, 0)]
         static = PresetGovernor([plan], resilient=True)
-        family = PlanFamilyGovernor([fam], resilient=True)
+        family = PresetGovernor(families=[fam], resilient=True)
         for j in range(3):
             sig_s, _ = _run_job(static, graph, batch, seed=seed + j)
             sig_f, _ = _run_job(family, graph, batch, seed=seed + j)
@@ -183,7 +181,7 @@ class TestMemberSelection:
     def test_selected_member_is_installed_plan(self):
         graph = _graph()
         fam = _family(graph, batches=(1, 16))
-        gov = PlanFamilyGovernor([fam], resilient=True)
+        gov = PresetGovernor(families=[fam], resilient=True)
         _run_job(gov, graph, 16)
         assert gov.plan_for(graph.name) is fam.members[(1, 0)]
         _run_job(gov, graph, 1)
@@ -195,7 +193,7 @@ class TestMemberSelection:
         graph = _graph()
         fam = _family(graph, batches=(1, 16))
         stale = PresetGovernor([fam.members[(1, 0)]], resilient=True)
-        family = PlanFamilyGovernor([fam], resilient=True)
+        family = PresetGovernor(families=[fam], resilient=True)
         e_stale = sum(_run_job(stale, graph, 1, seed=s)[0][0]
                       for s in range(3))
         e_family = sum(_run_job(family, graph, 1, seed=s)[0][0]
@@ -205,7 +203,7 @@ class TestMemberSelection:
     def test_graph_without_family_falls_back(self):
         graph = _graph()
         fam = _family(graph, batches=(1, 16))
-        gov = PlanFamilyGovernor([fam], resilient=True)
+        gov = PresetGovernor(families=[fam], resilient=True)
         from tests.conftest import build_small_cnn
         other = build_small_cnn("no_family_net")
         sig, _ = _run_job(gov, other, 4)
@@ -217,7 +215,7 @@ class TestMemberSelection:
     def test_sparsity_axis_selects_sparse_member(self):
         graph = _graph()
         fam = _family(graph, batches=(16,), sparsities=(0.0, 0.5))
-        gov = PlanFamilyGovernor([fam], resilient=True)
+        gov = PresetGovernor(families=[fam], resilient=True)
         _run_job(gov, graph, 16, sparsity=0.7)
         assert gov.plan_for(graph.name) is fam.members[(0, 1)]
         _run_job(gov, graph, 16, sparsity=0.2)
@@ -227,7 +225,7 @@ class TestMemberSelection:
         graph = _graph()
         fam = _family(graph, batches=(1,))
         with pytest.raises(ValueError, match="one family"):
-            PlanFamilyGovernor([fam, fam])
+            PresetGovernor(families=[fam, fam])
 
 
 # ----------------------------------------------------------------------
@@ -248,8 +246,9 @@ class TestAdaptiveComposition:
         # the drift is visible to the ledger.
         fam.members[(0, 0)] = fam.members[(1, 0)]
         sibling_before = fam.members[(1, 0)]
-        gov = AdaptivePlanFamilyGovernor([fam], EVALUATOR,
-                                         resilient=True)
+        policy = ReplanPolicy(EVALUATOR)
+        gov = PresetGovernor(families=[fam], resilient=True,
+                             replan=policy, metrics=policy.obs.metrics)
         for seed in range(4):
             sig, result = _run_job(gov, graph, 1, seed=seed)
             action = self._observe(gov, graph, 1, result)
@@ -274,10 +273,14 @@ class TestAdaptiveComposition:
         fam = _family(graph, batches=(1, 16))
         fam.members[(0, 0)] = fam.members[(1, 0)]
         stale = fam.members[(0, 0)]
-        first = AdaptivePlanFamilyGovernor([fam], EVALUATOR,
-                                           resilient=True)
-        second = AdaptivePlanFamilyGovernor([fam], EVALUATOR,
-                                            resilient=True)
+        first_policy = ReplanPolicy(EVALUATOR)
+        first = PresetGovernor(families=[fam], resilient=True,
+                               replan=first_policy,
+                               metrics=first_policy.obs.metrics)
+        second_policy = ReplanPolicy(EVALUATOR)
+        second = PresetGovernor(families=[fam], resilient=True,
+                                replan=second_policy,
+                                metrics=second_policy.obs.metrics)
         _, result = _run_job(first, graph, 1)
         assert self._observe(first, graph, 1, result) == "adopt"
         assert first.plan_for(graph.name) is not stale
@@ -287,8 +290,9 @@ class TestAdaptiveComposition:
     def test_zero_drift_family_adaptive_idle(self):
         graph = _graph()
         fam = _family(graph, batches=(1, 16))
-        gov = AdaptivePlanFamilyGovernor([fam], EVALUATOR,
-                                         resilient=True)
+        policy = ReplanPolicy(EVALUATOR)
+        gov = PresetGovernor(families=[fam], resilient=True,
+                             replan=policy, metrics=policy.obs.metrics)
         for batch in (16, 1, 16, 1):
             _, result = _run_job(gov, graph, batch, seed=batch)
             action = self._observe(gov, graph, batch, result)
@@ -332,8 +336,9 @@ class TestValidationCacheKnob:
     def test_adaptive_mirrors_evictions_into_replan_health(self):
         graph = _graph()
         plans = self._distinct_plans(graph, 4)
-        gov = AdaptivePresetGovernor([], EVALUATOR, resilient=True,
-                                     validation_cache_size=1)
+        policy = ReplanPolicy(EVALUATOR)
+        gov = PresetGovernor([], resilient=True, validation_cache_size=1,
+                             replan=policy, metrics=policy.obs.metrics)
         for plan in plans:
             gov.add_plan(plan)
             _run_job(gov, graph, 4)
@@ -344,5 +349,5 @@ class TestValidationCacheKnob:
     def test_family_default_bound_fits_every_member(self):
         graph = _graph()
         fam = _family(graph, batches=(1, 2, 4, 8, 16))
-        gov = PlanFamilyGovernor([fam])
+        gov = PresetGovernor(families=[fam])
         assert gov._VALIDATION_CACHE_SIZE >= 2 * fam.size

@@ -2,9 +2,17 @@
 
 import pytest
 
+from repro.core.labeling import plan_levels_for_blocks
 from repro.governors import FrequencyPlan, PlanStep, PresetGovernor
-from repro.governors.oracle import OracleGovernor, oracle_plan
 from repro.hw import InferenceJob, InferenceSimulator
+from repro.hw.analytic import AnalyticEvaluator
+
+
+def oracle_plan(platform, graph, blocks, batch_size):
+    """Exhaustive-sweep plan for ``graph`` under ``blocks``."""
+    levels = plan_levels_for_blocks(AnalyticEvaluator(platform), graph,
+                                    blocks, batch_size=batch_size)
+    return FrequencyPlan.from_blocks(graph, blocks, levels)
 
 
 class TestFrequencyPlan:
@@ -82,7 +90,7 @@ class TestOracle:
         from repro.governors import StaticGovernor
         n = len(small_cnn.compute_nodes())
         blocks = [list(range(n))]
-        gov = OracleGovernor(tx2, [(small_cnn, blocks)], batch_size=8)
+        gov = PresetGovernor([oracle_plan(tx2, small_cnn, blocks, 8)])
         job = InferenceJob(graph=small_cnn, batch_size=8, n_batches=3,
                            cpu_work_per_image=1e7)
         sim = InferenceSimulator(tx2)

@@ -5,6 +5,7 @@ external-cap handling and the naive fire-and-forget baseline."""
 
 import pytest
 
+from repro.core.ablation import no_clustering_plan, random_partition_plan
 from repro.governors import (
     FrequencyPlan,
     PlanStep,
@@ -21,6 +22,7 @@ from repro.hw.faults import (
     FaultProfile,
 )
 from repro.hw.telemetry import KIND_GPU_OP
+from tests.conftest import build_small_cnn
 
 pytestmark = pytest.mark.faults
 
@@ -85,14 +87,26 @@ class TestPlanValidation:
         assert gov.on_op_start(0, 0, None) is None
 
     def test_rejects_fingerprint_mismatch(self, tiny_platform,
-                                          small_cnn):
-        plan = FrequencyPlan(graph_name=small_cnn.name,
-                             steps=[PlanStep(0, 1)],
-                             graph_fingerprint="not-this-graph")
-        gov = PresetGovernor([plan])
-        gov.reset(tiny_platform)
-        gov.on_job_start(0, InferenceJob(graph=small_cnn))
-        assert gov.health.plans_rejected == 1
+                                          small_cnn, fitted_lens):
+        # Every planner records the fingerprint of the graph it planned
+        # for, so its plan is refused on a same-named graph of the same
+        # operator count whose content differs.
+        stale = build_small_cnn(small_cnn.name, width=24)
+        assert stale.fingerprint() != small_cnn.fingerprint()
+        assert len(stale.compute_nodes()) == len(small_cnn.compute_nodes())
+        plans = [
+            FrequencyPlan(graph_name=small_cnn.name,
+                          steps=[PlanStep(0, 1)],
+                          graph_fingerprint="not-this-graph"),
+            random_partition_plan(fitted_lens, stale),
+            no_clustering_plan(fitted_lens, stale),
+            fitted_lens.oracle_plan(stale).plan,
+        ]
+        for plan in plans:
+            gov = PresetGovernor([plan])
+            gov.reset(tiny_platform)
+            gov.on_job_start(0, InferenceJob(graph=small_cnn))
+            assert gov.health.plans_rejected == 1
 
     def test_accepts_matching_fingerprint(self, tiny_platform,
                                           small_cnn):
