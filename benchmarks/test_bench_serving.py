@@ -43,7 +43,6 @@ from repro.serving import (
     PlanCache,
     SchedulerConfig,
     make_trace,
-    plan_cache_key,
 )
 from tests.conftest import build_small_cnn
 from tests.ledgerref import reference_ledger
@@ -141,41 +140,6 @@ def test_serving_policy_sweep(benchmark):
     fifo = results["fifo"][0].report
     energy = results["energy"][0].report
     assert energy.joules_per_request <= fifo.joules_per_request * 1.05
-
-
-@pytest.mark.benchmark(group="serving")
-def test_serving_prewarm_scaling(benchmark):
-    """Plan-cache prewarm across n_jobs: identical bytes out, recorded
-    wall-time at 1 vs 4 workers."""
-    def run(n_jobs):
-        fleet = Fleet.build([DeviceConfig(f"tx2-{i}", "tx2")
-                             for i in range(4)],
-                            governor="powerlens", fleet_seed=_SEED)
-        fleet.add_graph(build_small_cnn(_MODEL))
-        trace = make_trace("poisson", rate_rps=SERVE_RATE,
-                           duration_s=SERVE_DURATION / 2,
-                           models=[_MODEL], seed=_SEED)
-        scheduler = FleetScheduler(fleet, SchedulerConfig())
-        t0 = time.perf_counter()
-        result = scheduler.run(trace, n_jobs=n_jobs)
-        return result, time.perf_counter() - t0
-
-    serial, serial_s = run(1)
-    pooled, pooled_s = benchmark.pedantic(
-        lambda: run(4), rounds=1, iterations=1)
-
-    assert serial.event_log() == pooled.event_log()
-    assert serial.report.fleet_energy_j == pooled.report.fleet_energy_j
-    print()
-    print(f"  prewarm+serve: n_jobs=1 {serial_s:.2f}s, "
-          f"n_jobs=4 {pooled_s:.2f}s (byte-identical output)")
-    _record("prewarm_scaling", {
-        "n_devices": 4,
-        "serial_wall_s": round(serial_s, 3),
-        "pooled_wall_s": round(pooled_s, 3),
-        "completed": serial.report.completed,
-        "fleet_energy_j": round(serial.report.fleet_energy_j, 6),
-    })
 
 
 @pytest.mark.benchmark(group="serving")
@@ -334,18 +298,17 @@ def test_serving_dispatch_fastpath(benchmark):
 
 @pytest.mark.benchmark(group="serving")
 def test_dispatch_invariants(benchmark):
-    """Per-dispatch plan-key lookup plus evaluator-backed ledger on a
-    warm device (key memo, block-sweep memo) vs the reference path —
-    ``plan_cache_key`` and a memo-free per-block sweep on a fresh
-    evaluator — over more (graph, sparsity) tables than the
-    profile-table LRU holds, as an adaptive family fleet sees:
+    """Per-dispatch evaluator-backed ledger on a warm device
+    (block-sweep memo) vs the reference path — a memo-free per-block
+    sweep on a fresh evaluator — over more (graph, sparsity) tables
+    than the profile-table LRU holds, as an adaptive family fleet sees:
     byte-identical ledgers and >= 2x."""
     platform = jetson_tx2()
-    batch, slack, block_size = 8, 0.25, 8
+    batch, slack = 8, 0.25
     graphs = [RandomDNNGenerator(seed=s).generate() for s in range(4)]
     sparsities = (0.0, 0.3, 0.6)
     evaluator = AnalyticEvaluator(platform)
-    cache = PlanCache(evaluator, slack, block_size)
+    cache = PlanCache(evaluator)
     dispatches = []
     for graph in graphs:
         for sparsity in sparsities:
@@ -357,19 +320,16 @@ def test_dispatch_invariants(benchmark):
             dispatches.append((graph, sparsity, plan, result))
 
     def fast_pass():
-        return [(cache.key_for(graph, batch, sparsity),
-                 EnergyLedger.from_result(
-                     result, plan=plan, graph=graph, evaluator=evaluator,
-                     batch_size=batch, latency_slack=slack,
-                     sparsity=sparsity).to_dict())
+        return [EnergyLedger.from_result(
+                    result, plan=plan, graph=graph, evaluator=evaluator,
+                    batch_size=batch, latency_slack=slack,
+                    sparsity=sparsity).to_dict()
                 for graph, sparsity, plan, result in dispatches]
 
     def reference_pass():
         fresh = AnalyticEvaluator(platform)
-        return [(plan_cache_key(platform, graph, batch, slack, block_size,
-                                sparsity),
-                 reference_ledger(result, plan, graph, fresh, batch,
-                                  slack, sparsity=sparsity).to_dict())
+        return [reference_ledger(result, plan, graph, fresh, batch,
+                                 slack, sparsity=sparsity).to_dict()
                 for graph, sparsity, plan, result in dispatches]
 
     def compare():

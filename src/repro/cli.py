@@ -243,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-profile", default="none",
                    help="'none' or a key=value,... fault spec injected "
                         "on every device")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="plan-cache prewarm threads (results are "
-                        "identical at any value; default: 1)")
     p.add_argument("--recovery", action="store_true",
                    help="re-admit drained devices via cooldown → "
                         "probe → probation instead of permanent drain")
@@ -611,7 +608,7 @@ def _cmd_serve_sim(args, obs, trace_path: Optional[str],
     scheduler = FleetScheduler(fleet, config, obs=obs,
                                request_tracer=tracer,
                                burn_monitor=burn)
-    result = scheduler.run(trace, n_jobs=args.jobs)
+    result = scheduler.run(trace)
 
     if args.event_log:
         from pathlib import Path
@@ -759,9 +756,7 @@ def _cmd_profile(args, obs, trace_path: Optional[str],
     print(f"labeling stage profile — {args.platform}, "
           f"{stats.n_networks} networks, {stats.n_blocks} blocks "
           f"({source}, {workers} worker(s))")
-    order = ("distance", "cluster", "evaluate")
-    named = [n for n in order if n in stats.stage_seconds]
-    named += sorted(set(stats.stage_seconds) - set(order))
+    named = stats.stage_order()
     total = sum(stats.stage_seconds.values())
     norm = stats.stage_seconds_per_worker
     print(f"{'stage':<10} {'CPU-s (summed)':>15} {'per-worker':>12} "
@@ -825,20 +820,10 @@ def _dispatch(args, obs, trace_path: Optional[str],
               f"retries: {gen.quarantined}", file=sys.stderr)
     if summary is not None and summary.generation.stage_seconds:
         gen = summary.generation
-        order = ("distance", "cluster", "evaluate")
-        named = [n for n in order if n in gen.stage_seconds]
-        named += sorted(set(gen.stage_seconds) - set(order))
-        parts = ", ".join(f"{n} {gen.stage_seconds[n]:.1f}s"
-                          for n in named)
-        print(f"labeling stages (CPU-s summed over {gen.n_jobs} "
-              f"worker(s)): {parts} "
-              f"(generation wall time {gen.wall_time_s:.1f}s)",
-              file=sys.stderr)
-        if gen.n_jobs > 1:
-            norm = gen.stage_seconds_per_worker
-            parts = ", ".join(f"{n} {norm[n]:.1f}s" for n in named)
-            print(f"labeling stages (per-worker average): {parts}",
-                  file=sys.stderr)
+        lines = gen.stage_lines()
+        lines[0] += f" (generation wall time {gen.wall_time_s:.1f}s)"
+        for line in lines:
+            print(line, file=sys.stderr)
 
     if args.command == "table1":
         from repro.experiments import run_table1

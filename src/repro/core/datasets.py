@@ -35,7 +35,7 @@ from repro.core.features import (
     DepthwiseFeatureExtractor,
     GlobalFeatureExtractor,
 )
-from repro.core.labeling import label_network
+from repro.core.labeling import STAGE_NAMES, label_network
 from repro.core.schemes import ClusteringScheme, default_scheme_grid
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.faults import (
@@ -166,6 +166,29 @@ class GenerationStats:
         workers = max(1, self.n_jobs)
         return {name: seconds / workers
                 for name, seconds in self.stage_seconds.items()}
+
+    def stage_order(self) -> List[str]:
+        """Recorded stage names: the pipeline's in pipeline order, then
+        any others sorted."""
+        named = [n for n in STAGE_NAMES if n in self.stage_seconds]
+        return named + sorted(set(self.stage_seconds) - set(STAGE_NAMES))
+
+    def stage_lines(self) -> List[str]:
+        """The labeling-stage breakdown as report lines: CPU-s summed
+        over the workers, plus the per-worker average under a pool
+        (empty when no stage was recorded)."""
+        if not self.stage_seconds:
+            return []
+        named = self.stage_order()
+        parts = ", ".join(f"{n} {self.stage_seconds[n]:.1f}s"
+                          for n in named)
+        lines = [f"labeling stages (CPU-s summed over {self.n_jobs} "
+                 f"worker(s)): {parts}"]
+        if self.n_jobs > 1:
+            norm = self.stage_seconds_per_worker
+            parts = ", ".join(f"{n} {norm[n]:.1f}s" for n in named)
+            lines.append(f"labeling stages (per-worker average): {parts}")
+        return lines
 
 
 @dataclass(frozen=True)

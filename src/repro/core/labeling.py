@@ -31,17 +31,16 @@ Output is byte-identical to the retained pre-optimization path
 ``tests/test_labeling_fastpath.py``.  Per-stage wall time (distance /
 cluster / evaluate) is reported through ``NetworkLabels.stage_seconds``
 and aggregated into ``GenerationStats``.  Stage timing is span-derived:
-each stage chunk runs inside a span on a private aggregate-only
-:class:`~repro.obs.tracing.Tracer` (mirrored into an optional session
-tracer for trace export), and ``stage_seconds`` is read back from the
-span aggregates — there is no second, hand-timed clock.
+each stage chunk runs inside a :class:`~repro.core.overhead.StageTimer`
+stage (mirrored into an optional session tracer for trace export), and
+``stage_seconds`` is read back from its aggregates — there is no
+second, hand-timed clock.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from repro.core.clustering import (
     FactoredDistance,
     cluster_power_blocks_reference,
 )
+from repro.core.overhead import StageTimer
 from repro.core.schemes import ClusteringScheme
 from repro.graph import Graph
 from repro.hw.analytic import AnalyticEvaluator, ProfileTable
@@ -116,15 +116,6 @@ class _SchemeSweep:
     stage_seconds: Dict[str, float]
 
 
-@contextmanager
-def _stage_span(session: Tracer, local: Tracer,
-                name: str) -> Iterator[None]:
-    """One stage chunk: a span on the private aggregate tracer (the
-    source of ``stage_seconds``) mirrored into the session tracer."""
-    with session.span(name), local.span(name):
-        yield
-
-
 def _sweep_schemes(evaluator: AnalyticEvaluator, graph: Graph,
                    features: np.ndarray,
                    schemes: Sequence[ClusteringScheme],
@@ -136,13 +127,13 @@ def _sweep_schemes(evaluator: AnalyticEvaluator, graph: Graph,
     The distance matrix depends on the scheme only through its smoothing
     window, and the quality/levels only through the resulting partition,
     so both are computed once per distinct key.  Wall time is split into
-    the three pipeline stages via spans (see :func:`_stage_span`) and
-    read back from the span aggregates for ``GenerationStats``.
+    the three pipeline stages by a :class:`StageTimer` (mirrored into
+    ``tracer``) and read back from its aggregates for
+    ``GenerationStats``.
     """
-    session = tracer if tracer is not None else NULL_TRACER
-    local = Tracer(keep_spans=False)
+    timer = StageTimer(tracer)
     n = features.shape[0]
-    with _stage_span(session, local, "evaluate"):
+    with timer.stage("evaluate"):
         table = evaluator.profile_table(graph, batch_size)
 
     distances: Dict[int, FactoredDistance] = {}
@@ -159,14 +150,14 @@ def _sweep_schemes(evaluator: AnalyticEvaluator, graph: Graph,
             window = max(2, scheme.min_pts)
             distance = distances.get(window)
             if distance is None:
-                with _stage_span(session, local, "distance"):
+                with timer.stage("distance"):
                     distance = FactoredDistance(
                         features, window, alpha=alpha, lam=lam)
                 distances[window] = distance
-            with _stage_span(session, local, "cluster"):
+            with timer.stage("cluster"):
                 blocks = distance.blocks(scheme.eps, scheme.min_pts)
         views.append(blocks)
-        with _stage_span(session, local, "evaluate"):
+        with timer.stage("evaluate"):
             key = _partition_key(blocks)
             hit = evaluations.get(key)
             if hit is None:
@@ -175,7 +166,7 @@ def _sweep_schemes(evaluator: AnalyticEvaluator, graph: Graph,
         quality, levels = hit
         qualities.append(quality)
         levels_by_view.append(levels)
-    stage = {name: local.total(name) for name in STAGE_NAMES}
+    stage = {name: timer.total(name) for name in STAGE_NAMES}
 
     top = max(qualities)
     if top <= 0:

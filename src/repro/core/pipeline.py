@@ -21,7 +21,6 @@ Table-3 breakdown.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, ContextManager, List, Optional, Sequence
 
@@ -132,20 +131,7 @@ class TrainingSummary:
         if g.n_quarantined or g.n_retries:
             quarantine = (f" [{g.n_quarantined} quarantined, "
                           f"{g.n_retries} retries]")
-        stages = ""
-        if g.stage_seconds:
-            order = ("distance", "cluster", "evaluate")
-            named = [n for n in order if n in g.stage_seconds]
-            named += sorted(set(g.stage_seconds) - set(order))
-            parts = ", ".join(
-                f"{n} {g.stage_seconds[n]:.1f}s" for n in named)
-            stages = (f"labeling stages (CPU-s summed over "
-                      f"{g.n_jobs} worker(s)): {parts}\n")
-            if g.n_jobs > 1:
-                norm = g.stage_seconds_per_worker
-                parts = ", ".join(
-                    f"{n} {norm[n]:.1f}s" for n in named)
-                stages += f"labeling stages (per-worker average): {parts}\n"
+        stages = "".join(line + "\n" for line in g.stage_lines())
         return (
             f"dataset: {g.n_networks} networks, "
             f"{g.n_blocks} blocks "
@@ -314,7 +300,7 @@ class PowerLens:
 
     def _post_process(self, graph: Graph, view: PowerView,
                       decide: Callable[[PowerView], List[int]],
-                      stage: ContextManager = nullcontext()) -> tuple:
+                      stage: ContextManager) -> tuple:
         """Decide a level per block of ``view`` and post-process the
         decisions (fuse, re-decide, merge; see
         :func:`~repro.governors.family.post_process`), both inside
@@ -373,13 +359,17 @@ class PowerLens:
             self.evaluator, graph, feats, self.schemes,
             batch_size=cfg.batch_size, latency_slack=cfg.latency_slack,
             alpha=cfg.alpha, lam=cfg.lam)
-        view = PowerView.from_blocks(graph, blocks, extractor=self.global_)
-        view, levels = self._post_process(
-            graph, view,
-            lambda v: plan_levels_for_blocks(
-                self.evaluator, graph, [b.op_indices for b in v.blocks],
-                batch_size=cfg.batch_size,
-                latency_slack=cfg.latency_slack))
+
+        # The sweep reads only block bounds, so the one view (with its
+        # per-block features) is built for the final partition.
+        def decide(groups):
+            return plan_levels_for_blocks(
+                self.evaluator, graph, groups, batch_size=cfg.batch_size,
+                latency_slack=cfg.latency_slack)
+
+        groups = [sorted(b) for b in blocks]
+        groups, levels = post_process(groups, decide(groups), decide)
+        view = PowerView.from_blocks(graph, groups, extractor=self.global_)
         return PowerLensPlan.build(graph, view, levels)
 
     def governor(self, graphs: Sequence[Graph],

@@ -24,7 +24,7 @@ Entry point::
 
 Determinism contract: identical ``(trace, fleet config, scheduler
 config)`` gives byte-identical event logs and fleet joules across runs
-and across ``n_jobs`` (``tests/test_serving_determinism.py``).
+(``tests/test_serving_determinism.py``).
 """
 
 from repro.serving.arrivals import (
@@ -46,7 +46,6 @@ from repro.serving.fleet import (
     SimulatedDevice,
     analytic_plan,
     derive_seed,
-    plan_cache_key,
 )
 from repro.serving.queueing import (
     DeadlinePolicy,
@@ -81,7 +80,7 @@ __all__ = [
     "DeviceConfig", "DispatchRecord", "Fleet", "PlanCache",
     "RecoveryConfig", "FAMILY_GOVERNORS", "SERVING_GOVERNORS",
     "SimulatedDevice",
-    "analytic_plan", "derive_seed", "plan_cache_key",
+    "analytic_plan", "derive_seed",
     "DeadlinePolicy", "EnergyAwarePolicy", "FifoPolicy",
     "POLICY_REGISTRY", "QueuePolicy", "make_policy",
     "FleetScheduler", "SchedulerConfig", "ServingResult",

@@ -6,10 +6,9 @@ to treat it as an independent worker:
 
 * a **plan cache** — per-device frequency plans built analytically
   (NeuralPower-style closed-form oracle, no fitted lens required) and
-  keyed by a content hash exactly like
-  :func:`repro.core.persistence.dataset_cache_key`: any change to the
-  platform's power model, the graph, the batch size or the planner
-  parameters yields a new key;
+  keyed by slot: graph fingerprint, exact batch size and sparsity
+  bucket.  The platform and planner parameters are fixed for a
+  device's life, so the slot names the plan;
 * a **dispatch-time cost model** — predicted wall time and joules of a
   job on this device from the same
   :class:`~repro.hw.analytic.ProfileTable`, which is what lets the
@@ -35,10 +34,7 @@ never from wall clock or ``hash()``.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import json
-import threading
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,7 +50,7 @@ from repro.governors import (
 from repro.governors.family import analytic_plan
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.faults import FaultProfile
-from repro.hw.platform import PlatformSpec, get_platform
+from repro.hw.platform import get_platform
 from repro.hw.simulator import InferenceJob, InferenceSimulator, \
     op_works_key
 from repro.obs import Observability, NULL_TRACER
@@ -62,15 +58,10 @@ from repro.obs.anomaly import AnomalyConfig, AnomalyDetector
 from repro.obs.ledger import EnergyLedger
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["PLAN_CACHE_VERSION", "plan_cache_key", "analytic_plan",
+__all__ = ["analytic_plan",
            "PlanCache", "DeviceConfig", "DispatchRecord",
            "RecoveryConfig", "SimulatedDevice", "Fleet", "derive_seed",
            "SERVING_GOVERNORS", "FAMILY_GOVERNORS"]
-
-#: Bump when the analytic planner's semantics change (invalidates keys).
-#: v2: plan keys carry the activation-sparsity bucket the plan was
-#: built for (0.0 plans are numerically unchanged from v1).
-PLAN_CACHE_VERSION = 2
 
 #: Governor names the serving layer accepts: every registry governor
 #: plus the preset PowerLens runtime fed by the analytic planner, its
@@ -92,29 +83,6 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
 
 
-def plan_cache_key(platform: PlatformSpec, graph: Graph,
-                   batch_size: int, latency_slack: float,
-                   block_size: int, sparsity: float = 0.0) -> str:
-    """Content hash of everything a device's frequency plan depends on
-    (same recipe as :func:`repro.core.persistence.dataset_cache_key`).
-
-    This is the function of record for plan keys.  It serializes the
-    whole platform on every call (about a millisecond), so
-    :class:`PlanCache` memoizes its result per slot rather than calling
-    it on every dispatch."""
-    payload = {
-        "version": PLAN_CACHE_VERSION,
-        "platform": dataclasses.asdict(platform),
-        "graph_fingerprint": graph.fingerprint(),
-        "batch_size": int(batch_size),
-        "latency_slack": latency_slack,
-        "block_size": int(block_size),
-        "sparsity": float(sparsity),
-    }
-    blob = json.dumps(payload, sort_keys=True, default=list)
-    return hashlib.sha256(blob.encode()).hexdigest()[:32]
-
-
 # ``analytic_plan`` (the closed-form per-block planner) lives with the
 # plan-family machinery in :mod:`repro.governors.family` — it is the
 # family member builder — and is re-exported here (``__all__``) because
@@ -122,68 +90,32 @@ def plan_cache_key(platform: PlatformSpec, graph: Graph,
 
 
 class PlanCache:
-    """Per-device plan store, keyed by :func:`plan_cache_key`.
+    """Per-device plan store, keyed by slot ``(graph fingerprint,
+    batch size, repr(sparsity))``.
 
-    Thread-safe under one device-level lock so the scheduler can
-    pre-warm many devices' caches in parallel (``n_jobs``) while each
-    device's underlying :class:`AnalyticEvaluator` LRU stays
-    single-threaded.
-
-    Keys are memoized per slot ``(graph fingerprint, batch size,
-    repr(sparsity))``.  The other key inputs — the evaluator's platform,
-    ``latency_slack`` and ``block_size`` — are fixed for the cache's
-    life, and the fingerprint is a content hash of the graph, so a memo
-    entry can never name a different key than :func:`plan_cache_key`
-    would.  The sparsity enters by ``repr``, the same text the key's
-    JSON carries, so ``0.0`` and ``-0.0`` keep their distinct keys.
-    The memo gains an entry only where :meth:`get_or_build` stores a
-    plan, so it holds exactly one key per cached plan.
+    Plans are built by :func:`analytic_plan` at its default latency
+    slack and block size, and the evaluator's platform is fixed for the
+    cache's life, so a slot names exactly one plan.  The sparsity enters
+    by ``repr``, so ``0.0`` and ``-0.0`` keep distinct slots.
     """
 
-    def __init__(self, evaluator: AnalyticEvaluator,
-                 latency_slack: float = 0.25,
-                 block_size: int = 8) -> None:
+    def __init__(self, evaluator: AnalyticEvaluator) -> None:
         self.evaluator = evaluator
-        self.latency_slack = latency_slack
-        self.block_size = block_size
         self.hits = 0
         self.misses = 0
-        self._plans: Dict[str, FrequencyPlan] = {}
-        self._keys: Dict[Tuple[str, int, str], str] = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _slot(graph: Graph, batch_size: int,
-              sparsity: float) -> Tuple[str, int, str]:
-        return (graph.fingerprint(), int(batch_size),
-                repr(float(sparsity)))
-
-    def key_for(self, graph: Graph, batch_size: int,
-                sparsity: float = 0.0) -> str:
-        """:func:`plan_cache_key` of one slot, from the memo when the
-        slot's plan is cached."""
-        key = self._keys.get(self._slot(graph, batch_size, sparsity))
-        if key is not None:
-            return key
-        return plan_cache_key(self.evaluator.platform, graph, batch_size,
-                              self.latency_slack, self.block_size,
-                              sparsity)
+        self._plans: Dict[Tuple[str, int, str], FrequencyPlan] = {}
 
     def get_or_build(self, graph: Graph, batch_size: int,
                      sparsity: float = 0.0) -> FrequencyPlan:
-        key = self.key_for(graph, batch_size, sparsity)
-        with self._lock:
-            self._keys[self._slot(graph, batch_size, sparsity)] = key
-            plan = self._plans.get(key)
-            if plan is not None:
-                self.hits += 1
-                return plan
-            self.misses += 1
-            plan = analytic_plan(self.evaluator, graph, batch_size,
-                                 self.latency_slack, self.block_size,
-                                 sparsity=sparsity)
-            self._plans[key] = plan
+        slot = (graph.fingerprint(), int(batch_size), repr(float(sparsity)))
+        plan = self._plans.get(slot)
+        if plan is not None:
+            self.hits += 1
             return plan
+        self.misses += 1
+        plan = self._plans[slot] = analytic_plan(
+            self.evaluator, graph, batch_size, sparsity=sparsity)
+        return plan
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -358,8 +290,7 @@ class SimulatedDevice:
 
     def prewarm(self, graphs: Sequence[Graph], batch_sizes:
                 Sequence[int]) -> None:
-        """Build every plan this device could need (pure, idempotent —
-        safe to run from a thread pool).
+        """Build every plan this device could need (pure, idempotent).
 
         Also seeds the simulator's op-walk memo with the walk planning
         just used, so the first dispatch of each model skips re-walking
@@ -504,9 +435,7 @@ class SimulatedDevice:
             ledger = EnergyLedger.from_result(
                 result, plan=plan, graph=job.graph,
                 evaluator=self.evaluator,
-                batch_size=job.batch_size,
-                latency_slack=self.plan_cache.latency_slack,
-                sparsity=job.sparsity)
+                batch_size=job.batch_size, sparsity=job.sparsity)
             replan_action = self._preset.observe_job(
                 job.graph, job.batch_size, ledger,
                 new_anomalies=new_anomalies,
@@ -583,28 +512,12 @@ class Fleet:
         """Dispatch candidates in fixed device order (deterministic)."""
         return [d for d in self.devices if d.healthy and d.idle]
 
-    def prewarm(self, models: Sequence[str], batch_sizes: Sequence[int],
-                n_jobs: int = 1) -> None:
-        """Build all plan caches up front.
-
-        ``n_jobs > 1`` parallelizes across devices with threads; plans
-        are pure functions of (platform, graph, batch), so the results
-        — and everything downstream — are byte-identical at any
-        ``n_jobs`` (the determinism suite pins this).
-        """
+    def prewarm(self, models: Sequence[str],
+                batch_sizes: Sequence[int]) -> None:
+        """Build all plan caches up front."""
         graphs = [self.graph_for(m) for m in models]
-        if n_jobs <= 1 or len(self.devices) == 1:
-            for device in self.devices:
-                device.prewarm(graphs, batch_sizes)
-            return
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = min(n_jobs, len(self.devices))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(d.prewarm, graphs, batch_sizes)
-                       for d in self.devices]
-            for future in futures:
-                future.result()
+        for device in self.devices:
+            device.prewarm(graphs, batch_sizes)
 
     def merged_metrics(self) -> MetricsRegistry:
         """Fold every device's registry into one fleet-wide registry."""

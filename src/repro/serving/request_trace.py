@@ -27,7 +27,7 @@ attribute is a value the scheduler already computed, tracing cannot
 perturb the run: the canonical event log, the SLO report and the
 ledger totals are byte-identical with tracing on or off
 (``tests/test_serving_request_trace.py`` pins this across governors,
-policies, fault profiles, recovery configs and ``n_jobs``).
+policies, fault profiles and recovery configs).
 
 **Sampling** keeps million-request runs bounded.  Head sampling is a
 pure function of ``(seed, request_id)`` (sha256, no shared RNG

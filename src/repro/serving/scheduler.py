@@ -42,10 +42,6 @@ request tracer and the burn-rate monitor when given.  Subscribers are
 observe-only.  The log's canonical JSONL serialization is
 byte-identical across repeated runs of the same ``(trace, config)`` —
 the determinism property the hypothesis suite pins.
-
-``n_jobs`` never touches execution: the event loop is strictly
-sequential; extra workers only pre-warm the per-device plan caches
-(pure functions), so results are byte-identical at any ``n_jobs``.
 """
 
 from __future__ import annotations
@@ -499,15 +495,14 @@ class FleetScheduler:
         self.observers = list(filter(None, (request_tracer, burn_monitor)))
 
     # ------------------------------------------------------------------
-    def run(self, trace: ArrivalTrace, n_jobs: int = 1) -> ServingResult:
+    def run(self, trace: ArrivalTrace) -> ServingResult:
         """Serve ``trace`` to completion; returns the full outcome."""
         fleet = self.fleet
         for device in fleet.devices:
             device.busy = False
         if trace.requests:
             fleet.prewarm(trace.models,
-                          sorted({r.images for r in trace.requests}),
-                          n_jobs=n_jobs)
+                          sorted({r.images for r in trace.requests}))
         n_healthy = sum(1 for d in fleet.devices if not d.drained)
         for observer in self.observers:
             observer.begin_run(self.policy.name, n_healthy)

@@ -2,8 +2,9 @@
 
 Each memo must return exactly what recomputing would:
 
-* **plan keys** — :meth:`PlanCache.key_for` equals
-  :func:`plan_cache_key` before and after the slot's plan is cached;
+* **plan slots** — :class:`PlanCache` stores one plan per slot
+  ``(graph fingerprint, batch, repr(sparsity))`` and serves every
+  repeat lookup from it;
 * **plan clamping** — :meth:`FrequencyPlan.clamped` equals a per-step
   ``clamp_level`` and returns ``self`` exactly when nothing changes;
 * **ledger sweeps** — an evaluator-backed ledger is identical on a fresh
@@ -28,8 +29,7 @@ from repro.hw.simulator import InferenceJob, InferenceSimulator, \
 from repro.models.random_gen import RandomDNNGenerator
 from repro.obs.anomaly import AnomalyDetector, _max_platform_power
 from repro.obs.ledger import EnergyLedger
-from repro.serving import DeviceConfig, PlanCache, SimulatedDevice, \
-    plan_cache_key
+from repro.serving import DeviceConfig, PlanCache, SimulatedDevice
 from tests.conftest import build_small_cnn
 from tests.ledgerref import reference_ledger
 
@@ -38,53 +38,27 @@ pytestmark = pytest.mark.serving
 TX2 = get_platform("tx2")
 GRAPHS = [build_small_cnn()] + [RandomDNNGenerator(seed=s).generate()
                                 for s in range(2)]
-SPARSITIES = st.sampled_from([0.0, -0.0, 0.2, 0.3, 0.6]) | st.floats(
-    0.0, 1.0, exclude_max=True, allow_nan=False)
-
-# Shared across examples so later examples hit slots earlier ones cached.
-_CACHE = PlanCache(AnalyticEvaluator(TX2), latency_slack=0.25,
-                   block_size=8)
-
-
-def _reference_key(cache, graph, batch, sparsity):
-    return plan_cache_key(cache.evaluator.platform, graph, batch,
-                          cache.latency_slack, cache.block_size, sparsity)
 
 
 class TestPlanKeys:
-    @settings(max_examples=60, deadline=None)
-    @given(graph_idx=st.integers(0, len(GRAPHS) - 1),
-           batch=st.sampled_from([1, 2, 8, 16]), sparsity=SPARSITIES)
-    def test_key_for_matches_plan_cache_key(self, graph_idx, batch,
-                                            sparsity):
-        graph = GRAPHS[graph_idx]
-        expected = _reference_key(_CACHE, graph, batch, sparsity)
-        assert _CACHE.key_for(graph, batch, sparsity) == expected
-        _CACHE.get_or_build(graph, batch, sparsity)
-        assert _CACHE.key_for(graph, batch, sparsity) == expected
-        assert _CACHE.key_for(graph, batch, sparsity) == expected
+    """Plans are keyed by slot ``(graph fingerprint, batch,
+    repr(sparsity))``."""
 
     def test_signed_zero_sparsity_keeps_distinct_keys(self):
         cache = PlanCache(AnalyticEvaluator(TX2))
         graph = GRAPHS[0]
         cache.get_or_build(graph, 8, 0.0)
         cache.get_or_build(graph, 8, -0.0)
-        for s in (0.0, -0.0):
-            assert cache.key_for(graph, 8, s) == \
-                _reference_key(cache, graph, 8, s)
-        assert cache.key_for(graph, 8, 0.0) != cache.key_for(graph, 8, -0.0)
         assert len(cache) == 2
+        assert cache.misses == 2 and cache.hits == 0
 
     def test_memo_holds_one_key_per_cached_plan(self):
         cache = PlanCache(AnalyticEvaluator(TX2))
         for graph in GRAPHS:
-            cache.key_for(graph, 4)  # a bare lookup caches nothing
-        assert len(cache._keys) == 0
-        for graph in GRAPHS:
             for batch in (1, 8):
-                cache.get_or_build(graph, batch)
-                cache.get_or_build(graph, batch)
-        assert len(cache._keys) == len(cache) == 2 * len(GRAPHS)
+                first = cache.get_or_build(graph, batch)
+                assert cache.get_or_build(graph, batch) is first
+        assert len(cache) == 2 * len(GRAPHS)
         assert cache.hits == cache.misses == 2 * len(GRAPHS)
 
 

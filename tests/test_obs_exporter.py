@@ -342,7 +342,7 @@ class TestFlightRecorderExceptionPath:
         import repro.cli as cli
         from repro.serving.scheduler import FleetScheduler
 
-        def boom(self, trace, n_jobs=1):
+        def boom(self, trace):
             raise RuntimeError("mid-flight crash")
 
         monkeypatch.setattr(FleetScheduler, "run", boom)

@@ -4,8 +4,8 @@ The tentpole invariant pinned here: a :class:`RequestTracer` (and a
 :class:`BurnRateMonitor`) riding the scheduler is **strictly
 observe-only** — the canonical event log, the SLO report and the
 ledger totals are byte-identical with tracing on or off, across
-governors × policies × fault profiles × recovery configs ×
-``n_jobs``.  Also pinned:
+governors × policies × fault profiles × recovery configs.  Also
+pinned:
 
 * **sampling determinism** — the head-sampled id set is a pure
   function of ``(seed, request_id)``, so replays sample identically;
@@ -59,10 +59,9 @@ _GOVERNORS = st.sampled_from(
 def _run(seed: int, policy: str = "fifo", governor: str = "powerlens",
          rate: float = 30.0, duration: float = 0.5,
          slo: float = math.inf, faults: FaultProfile = None,
-         recovery: RecoveryConfig = None, n_jobs: int = 1,
-         queue_capacity: int = 64, sampling: SamplingConfig = None,
-         traced: bool = True, burn: BurnRateConfig = None,
-         sparsities=None):
+         recovery: RecoveryConfig = None, queue_capacity: int = 64,
+         sampling: SamplingConfig = None, traced: bool = True,
+         burn: BurnRateConfig = None, sparsities=None):
     fleet = Fleet.build([DeviceConfig("tx2-0", "tx2"),
                          DeviceConfig("agx-1", "agx")],
                         governor=governor, fleet_seed=seed,
@@ -79,7 +78,7 @@ def _run(seed: int, policy: str = "fifo", governor: str = "powerlens",
         SchedulerConfig(policy=policy, queue_capacity=queue_capacity,
                         recovery=recovery),
         request_tracer=tracer, burn_monitor=monitor)
-    return scheduler.run(trace, n_jobs=n_jobs)
+    return scheduler.run(trace)
 
 
 # ----------------------------------------------------------------------
@@ -99,16 +98,14 @@ class TestByteIdentity:
                 == traced.report.ledger_energy_j)
 
     @settings(max_examples=6, deadline=None)
-    @given(seed=_SEEDS,
-           recovery_on=st.booleans(),
-           n_jobs=st.sampled_from([1, 4]))
+    @given(seed=_SEEDS, recovery_on=st.booleans())
     def test_tracing_invisible_under_faults_and_recovery(
-            self, seed, recovery_on, n_jobs):
+            self, seed, recovery_on):
         faults = FaultProfile(seed=seed, **STORM)
         recovery = (RecoveryConfig(cooldown_s=0.05, max_cooldown_s=0.4)
                     if recovery_on else None)
         kwargs = dict(policy="slo", slo=0.5, duration=1.0,
-                      recovery=recovery, n_jobs=n_jobs)
+                      recovery=recovery)
         plain = _run(seed, faults=FaultProfile(seed=seed, **STORM),
                      traced=False, **kwargs)
         traced = _run(seed, faults=faults, **kwargs)
